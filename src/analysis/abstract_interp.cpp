@@ -181,17 +181,20 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
   std::vector<PerBudgetBounds> byExact(static_cast<std::size_t>(cfg.t) + 1);
   std::vector<Round> minPerConfig(configs.size(), kNoRound);
 
-  for (const FailureScript& script : cells) {
-    const auto k = static_cast<std::size_t>(script.numCrashes());
-    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-      const RoundRunResult run = runRounds(cfg, entry.intendedModel,
-                                           entry.factory, configs[ci], script,
-                                           engineOpt);
+  // One pooled engine, configs outer: consecutive runs share their initial
+  // configuration, so each cell resumes from the previous cell's
+  // checkpoints wherever the two scripts agree.
+  RoundEngine engine(cfg, entry.intendedModel, entry.factory, engineOpt);
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    for (const FailureScript& script : cells) {
+      engine.execute(configs[ci], script);
+      const RoundRunResult& run = engine.result();
       ++bounds.runs;
       if (observer) observer(run);
 
       const Round lr = run.latency();
-      PerBudgetBounds& agg = byExact[k];
+      PerBudgetBounds& agg =
+          byExact[static_cast<std::size_t>(script.numCrashes())];
       if (lr != kNoRound &&
           (agg.earliest == kNoRound || lr < agg.earliest))
         agg.earliest = lr;

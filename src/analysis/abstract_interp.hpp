@@ -77,13 +77,16 @@ struct AbstractBounds {
   std::int64_t runs = 0;    ///< cells x canonical configs
 };
 
-/// Observer for the structural checks of the analysis layer (L401-L404):
-/// called once per interpreted run, with deliveries traced.
+/// Observer for the structural checks of the analysis layer (L401-L404)
+/// and the counting abstraction of src/param: called once per interpreted
+/// run, with deliveries traced.  Runs arrive configs outer, cells inner
+/// (each in enumeration order); the result is the pooled engine's and is
+/// only valid during the call.
 using RunObserver = std::function<void(const RoundRunResult&)>;
 
-/// Interprets `entry` over the abstract schedule space at `cfg`.  Runs with
-/// horizon t + 3 and no early stop, so post-decision traffic and quiescence
-/// are visible.
+/// Interprets `entry` over the abstract schedule space at `cfg` on one
+/// pooled RoundEngine.  Runs with horizon t + 3 and no early stop, so
+/// post-decision traffic and quiescence are visible.
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
                                   const RunObserver& observer = {});

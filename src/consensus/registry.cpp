@@ -69,7 +69,7 @@ const std::vector<AlgorithmEntry>& algorithmRegistry() {
   // engine of src/param; RWS entries additionally carry the paper's
   // Lambda(A) >= 2 lower-bound witness obligation.  The cutoffs are the
   // smallest sizes at which the abstract reach sets close (verified by the
-  // param_golden_certs tripwire); A1WS_candidate — incorrect by design —
+  // param_golden_cert_* tripwires); A1WS_candidate — incorrect by design —
   // declares nothing, and its certificate records the Lambda = 1 fast path
   // the lower bound forbids for CORRECT RWS algorithms.
   static const std::vector<AlgorithmEntry> kRegistry = {

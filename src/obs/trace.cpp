@@ -202,7 +202,10 @@ const char* internString(const std::string& text) {
 }
 
 ScopedSpan::ScopedSpan(const char* name) : name_(nullptr) {
-  if (!tracingEnabled()) return;
+  // Register the thread's ring before reading the depth: registration
+  // resets the depth for the new session, and doing it later (at the first
+  // record) would zero the depth under spans that are still open.
+  if (currentRing() == nullptr) return;
   name_ = name;
   depth_ = threadState().depth++;
   startNs_ = sessionNowNs();

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -89,11 +90,31 @@ struct AbstractionResult {
   Round lambdaWitnessLatency = kNoRound;
 };
 
-/// Projects one interpreted run onto its abstract state sequence and folds
-/// it into `out` (exposed for the white-box tests; abstractInterpret is the
-/// driver).  countSaturation is clamped to >= 1.
-void foldRunAbstraction(const RoundRunResult& run, int countSaturation,
-                        AbstractionResult& out);
+/// Folds interpreted runs into one AbstractionResult: each run is projected
+/// onto its abstract state sequence (one state per round boundary) and
+/// merged into the reach set, the transition relation, the per-state facts
+/// and the Lambda witness.  Process classes, states and edges are interned
+/// as integers; a class or state is rendered to its canonical string only
+/// the first time it is seen, so the per-run work is hashing small binary
+/// keys.  Exposed for the white-box tests; abstractInterpret runs it.
+class AbstractionFold {
+ public:
+  /// countSaturation is clamped to >= 1.  `out` must outlive the fold and
+  /// change only through it while the fold lives: the tables point into it.
+  AbstractionFold(int countSaturation, AbstractionResult& out);
+  ~AbstractionFold();
+  AbstractionFold(const AbstractionFold&) = delete;
+  AbstractionFold& operator=(const AbstractionFold&) = delete;
+
+  void add(const RoundRunResult& run);
+
+  /// Distinct process classes seen so far.
+  std::int64_t classes() const;
+
+ private:
+  struct Tables;
+  std::unique_ptr<Tables> tables_;
+};
 
 /// Interprets `entry` at system size n (resilience = the entry's canonical
 /// t) and abstracts every run.  The row's bound quantities are exactly

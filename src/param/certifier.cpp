@@ -5,16 +5,13 @@
 #include <vector>
 
 #include "lint/codes.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace ssvsp {
 namespace param {
 
 namespace {
-
-std::string diagName(const AlgorithmEntry& entry) {
-  return "param:" + entry.name;
-}
 
 /// The closed-form row the declared bounds predict at (n-independent)
 /// resilience t — the same evaluation the analysis layer diffs as L400.
@@ -39,6 +36,92 @@ void checkRowAgainstBounds(const AlgorithmEntry& entry,
     what << "Lat(A, " << f << ")";
     mismatch(what.str().c_str(), row.latByF[f],
              bounds.latByF.eval(static_cast<int>(f), t));
+  }
+}
+
+/// Induction: growing the system past the cutoff must add no abstract
+/// state and no abstract transition.
+void checkInduction(const AlgorithmEntry& entry, int cutoff,
+                    const AbstractionResult& atCutoff,
+                    const AbstractionResult& atNext, DiagnosticSink& sink) {
+  OBS_SPAN("param.induction");
+  std::vector<std::string> newStates;
+  std::set_difference(atNext.states.begin(), atNext.states.end(),
+                      atCutoff.states.begin(), atCutoff.states.end(),
+                      std::back_inserter(newStates));
+  if (!newStates.empty()) {
+    std::ostringstream os;
+    os << entry.name << ": reach set not closed at cutoff n0 = " << cutoff
+       << ": n0 + 1 reaches " << newStates.size()
+       << " new abstract state(s), first: " << newStates.front();
+    sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+                os.str(), "raise the cutoff until the reach set closes");
+  }
+  std::vector<std::pair<std::string, std::string>> newEdges;
+  std::set_difference(atNext.edges.begin(), atNext.edges.end(),
+                      atCutoff.edges.begin(), atCutoff.edges.end(),
+                      std::back_inserter(newEdges));
+  if (!newEdges.empty()) {
+    std::ostringstream os;
+    os << entry.name << ": transition relation not closed at cutoff n0 = "
+       << cutoff << ": n0 + 1 adds " << newEdges.size()
+       << " new abstract edge(s), first: " << newEdges.front().first
+       << "  ->  " << newEdges.front().second;
+    sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+                os.str(), "raise the cutoff until the reach set closes");
+  }
+}
+
+/// Entailment of the claimed bounds by the reach set at the cutoff.
+void checkEntailment(const AlgorithmEntry& entry, const ParamCertificate& cert,
+                     const AbstractionResult& atCutoff, DiagnosticSink& sink) {
+  OBS_SPAN("param.entailment");
+  const int t = cert.t;
+  // Upper bounds: a state of a run with f total crashes, at a boundary at
+  // or past the claimed Lat(A, f), must have every correct process decided.
+  if (cert.boundsForAllN && entry.declaredBounds.has_value()) {
+    for (const auto& [state, info] : atCutoff.info) {
+      const Round bound = entry.declaredBounds->latByF.eval(info.f, t);
+      if (info.r >= bound && info.aliveUndecided) {
+        std::ostringstream os;
+        os << entry.name << ": abstract state at boundary r = " << info.r
+           << " >= Lat(A, " << info.f << ") = " << bound
+           << " still holds an undecided correct class: " << state;
+        sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+                    os.str(),
+                    "the claimed upper bound is not entailed by the reach "
+                    "set");
+      }
+    }
+  }
+
+  // Lambda lower bound: discharged by a reachable failure-free state at
+  // boundary L - 1 with an undecided correct class — a run that CANNOT
+  // have decided before round L.
+  if (cert.lambdaLowerBound.has_value()) {
+    const int lower = *cert.lambdaLowerBound;
+    bool witness = false;
+    for (const auto& [state, info] : atCutoff.info)
+      if (info.f == 0 && info.r == lower - 1 && info.aliveUndecided)
+        witness = true;
+    if (!witness) {
+      std::ostringstream os;
+      os << entry.name << ": no failure-free abstract state at boundary "
+         << (lower - 1) << " with an undecided correct class: the Lambda >= "
+         << lower << " lower bound has no witness";
+      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+                  os.str(),
+                  "the algorithm decides earlier than the claimed lower "
+                  "bound allows");
+    }
+    for (const ParamWindowRow& row : cert.window) {
+      if (row.lambda != kNoRound && row.lambda >= lower) continue;
+      std::ostringstream os;
+      os << entry.name << ": derived Lambda = " << row.lambda << " at n = "
+         << row.n << " is below the claimed lower bound " << lower;
+      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+                  os.str(), "the claimed lower bound is false");
+    }
   }
 }
 
@@ -87,6 +170,7 @@ void lintParamClaim(const AlgorithmEntry& entry, DiagnosticSink& sink) {
 
 ParamCertificate certifyAlgorithm(const AlgorithmEntry& entry,
                                   DiagnosticSink& sink) {
+  OBS_SPAN("param.certify");
   const RoundConfig cfg = canonicalAnalysisConfig(entry);
   const int t = cfg.t;
   const ParametricClaim& claim = entry.paramClaim;
@@ -107,14 +191,15 @@ ParamCertificate certifyAlgorithm(const AlgorithmEntry& entry,
   if (claim.declared) cert.lambdaLowerBound = claim.lambdaLowerBound;
 
   // Base window: concrete quotient interpretation at every size in
-  // [t + 2, cutoff + 1].  The last two sizes carry the induction.
-  std::vector<AbstractionResult> window;
+  // [t + 2, cutoff + 1].  Every size contributes its row; only the last two
+  // carry the induction, so only those two abstractions are kept.
+  AbstractionResult atCutoff, atNext;
   for (int n = t + 2; n <= cutoff + 1; ++n) {
-    window.push_back(abstractInterpret(entry, n, c0));
-    cert.window.push_back(window.back().row);
+    OBS_SPAN("param.window");
+    atCutoff = std::move(atNext);
+    atNext = abstractInterpret(entry, n, c0);
+    cert.window.push_back(atNext.row);
   }
-  const AbstractionResult& atCutoff = window[window.size() - 2];
-  const AbstractionResult& atNext = window.back();
 
   cert.invariant.assign(atCutoff.states.begin(), atCutoff.states.end());
   const auto indexOf = [&](const std::string& state) {
@@ -134,81 +219,8 @@ ParamCertificate certifyAlgorithm(const AlgorithmEntry& entry,
       for (const ParamWindowRow& row : cert.window)
         checkRowAgainstBounds(entry, *entry.declaredBounds, t, row, sink);
 
-    // Induction: growing the system past the cutoff must add no abstract
-    // state and no abstract transition.
-    std::vector<std::string> newStates;
-    std::set_difference(atNext.states.begin(), atNext.states.end(),
-                        atCutoff.states.begin(), atCutoff.states.end(),
-                        std::back_inserter(newStates));
-    if (!newStates.empty()) {
-      std::ostringstream os;
-      os << entry.name << ": reach set not closed at cutoff n0 = " << cutoff
-         << ": n0 + 1 reaches " << newStates.size()
-         << " new abstract state(s), first: " << newStates.front();
-      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
-                  os.str(), "raise the cutoff until the reach set closes");
-    }
-    std::vector<std::pair<std::string, std::string>> newEdges;
-    std::set_difference(atNext.edges.begin(), atNext.edges.end(),
-                        atCutoff.edges.begin(), atCutoff.edges.end(),
-                        std::back_inserter(newEdges));
-    if (!newEdges.empty()) {
-      std::ostringstream os;
-      os << entry.name << ": transition relation not closed at cutoff n0 = "
-         << cutoff << ": n0 + 1 adds " << newEdges.size()
-         << " new abstract edge(s), first: " << newEdges.front().first
-         << "  ->  " << newEdges.front().second;
-      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
-                  os.str(), "raise the cutoff until the reach set closes");
-    }
-
-    // Entailment: a state of a run with f total crashes, at a boundary at
-    // or past the claimed Lat(A, f), must have every correct process
-    // decided.
-    if (cert.boundsForAllN && entry.declaredBounds.has_value()) {
-      for (const auto& [state, info] : atCutoff.info) {
-        const Round bound = entry.declaredBounds->latByF.eval(info.f, t);
-        if (info.r >= bound && info.aliveUndecided) {
-          std::ostringstream os;
-          os << entry.name << ": abstract state at boundary r = " << info.r
-             << " >= Lat(A, " << info.f << ") = " << bound
-             << " still holds an undecided correct class: " << state;
-          sink.report(std::string(kDiagParamNotInductive), Severity::kError,
-                      os.str(),
-                      "the claimed upper bound is not entailed by the reach "
-                      "set");
-        }
-      }
-    }
-
-    // Lambda lower bound: discharged by a reachable failure-free state at
-    // boundary L - 1 with an undecided correct class — a run that CANNOT
-    // have decided before round L.
-    if (claim.lambdaLowerBound.has_value()) {
-      const int lower = *claim.lambdaLowerBound;
-      bool witness = false;
-      for (const auto& [state, info] : atCutoff.info)
-        if (info.f == 0 && info.r == lower - 1 && info.aliveUndecided)
-          witness = true;
-      if (!witness) {
-        std::ostringstream os;
-        os << entry.name << ": no failure-free abstract state at boundary "
-           << (lower - 1) << " with an undecided correct class: the Lambda >= "
-           << lower << " lower bound has no witness";
-        sink.report(std::string(kDiagParamNotInductive), Severity::kError,
-                    os.str(),
-                    "the algorithm decides earlier than the claimed lower "
-                    "bound allows");
-      }
-      for (const ParamWindowRow& row : cert.window) {
-        if (row.lambda != kNoRound && row.lambda >= lower) continue;
-        std::ostringstream os;
-        os << entry.name << ": derived Lambda = " << row.lambda << " at n = "
-           << row.n << " is below the claimed lower bound " << lower;
-        sink.report(std::string(kDiagParamNotInductive), Severity::kError,
-                    os.str(), "the claimed lower bound is false");
-      }
-    }
+    checkInduction(entry, cutoff, atCutoff, atNext, sink);
+    checkEntailment(entry, cert, atCutoff, sink);
   }
 
   cert.fingerprint = certificateFingerprint(cert);

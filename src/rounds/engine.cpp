@@ -112,13 +112,12 @@ void RoundEngine::beginFresh(const std::vector<Value>& initial) {
     procs_[static_cast<std::size_t>(p)]->begin(
         p, cfg_, initial[static_cast<std::size_t>(p)]);
   if (!probed_) {
-    // Checkpointing needs every automaton to opt into clone(); tracing
-    // would need deliveries snapshotted too, so it disables the chain.
-    // The typeid check catches a subclass that INHERITS its base's clone():
-    // such a clone would be a sliced copy with the base's behaviour, so we
-    // must fall back to plain execution rather than resume from it.
+    // Checkpointing needs every automaton to opt into clone().  The typeid
+    // check catches a subclass that INHERITS its base's clone(): such a
+    // clone would be a sliced copy with the base's behaviour, so we must
+    // fall back to plain execution rather than resume from it.
     probed_ = true;
-    checkpointing_ = !options_.traceDeliveries;
+    checkpointing_ = true;
     for (const auto& a : procs_) {
       const std::unique_ptr<RoundAutomaton> c = a->clone();
       if (c == nullptr || typeid(*c) != typeid(*a)) {
@@ -195,6 +194,7 @@ std::unique_ptr<RoundCheckpoint> RoundEngine::snapshot() {
   cp->decisionRound = result_.decisionRound;
   cp->sentPerRound = result_.sentPerRound;
   cp->peakPendingInFlight = result_.peakPendingInFlight;
+  cp->deliveries = result_.deliveries.size();
   return cp;
 }
 
@@ -221,7 +221,10 @@ void RoundEngine::restore(const RoundCheckpoint& cp) {
   result_.decisionRound = cp.decisionRound;
   result_.sentPerRound = cp.sentPerRound;
   result_.peakPendingInFlight = cp.peakPendingInFlight;
-  result_.deliveries.clear();
+  // The buffer still holds the snapshotted run's deliveries; its first
+  // cp.deliveries entries are this run's too.
+  SSVSP_CHECK(cp.deliveries <= result_.deliveries.size());
+  result_.deliveries.resize(cp.deliveries);
   result_.automata.clear();
 }
 

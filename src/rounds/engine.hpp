@@ -104,6 +104,12 @@ struct InFlightMsg {
 /// snapshotted one on every event of rounds <= `round` can skip
 /// re-executing that prefix.
 ///
+/// Traced deliveries are not copied: the checkpoint records only how many
+/// the run had traced by then.  A resumed run truncates the engine's
+/// delivery buffer to that count; the prefix it keeps is the snapshotted
+/// run's, which the resumed run shares up to `round` by the divergence
+/// rule.
+///
 /// Automaton state is captured in one of two forms:
 ///   * POD (`stateBlob` non-empty): every automaton honoured the
 ///     RoundAutomaton::stateBytes contract, so the snapshot is one flat
@@ -124,6 +130,7 @@ struct RoundCheckpoint {
   std::vector<Round> decisionRound;
   std::vector<std::int64_t> sentPerRound;
   int peakPendingInFlight = 0;
+  std::size_t deliveries = 0;  ///< traced deliveries by the end of `round`
 };
 
 /// First round at which executing `a` and `b` may differ — the earliest
@@ -142,11 +149,12 @@ Round divergenceRound(const FailureScript& a, const FailureScript& b);
 /// When the factory's automata support clone(), the engine additionally
 /// keeps a checkpoint chain for the most recent run and resumes the next
 /// run from the deepest checkpoint before divergenceRound(previous script,
-/// next script).  Scripts arriving in an order where consecutive scripts
-/// share long crash prefixes (the enumerator's lexicographic-by-divergence
-/// order) then skip most of their rounds.  Results are bit-identical to
-/// fresh execution by construction: a resumed run continues from a deep
-/// copy of exactly the state a fresh run would have reached.
+/// next script), with or without delivery tracing.  Scripts arriving in an
+/// order where consecutive scripts share long crash prefixes (the
+/// enumerator's lexicographic-by-divergence order) then skip most of their
+/// rounds.  Results are bit-identical to fresh execution by construction: a
+/// resumed run continues from a deep copy of exactly the state a fresh run
+/// would have reached.
 class RoundEngine {
  public:
   /// Throws InvariantViolation on an inadmissible cfg or horizon < 1.
@@ -213,7 +221,7 @@ class RoundEngine {
   RoundRunResult result_;
   bool resultValid_ = false;
 
-  bool checkpointing_ = false;  ///< automata cloneable and no tracing
+  bool checkpointing_ = false;  ///< automata cloneable
   bool probed_ = false;         ///< clone support probed on the first run
   std::size_t podStride_ = 0;   ///< per-process POD bytes; 0 = clone form
   /// chain_[r - 1] = end-of-round-r state of the last run, rounds

@@ -9,6 +9,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/analysis.hpp"
 #include "analysis/golden.hpp"
@@ -124,6 +126,58 @@ TEST(Analysis, StructuralNotesFireWhereTheAutomataWarrantThem) {
   for (const auto& [name, r] : reports()) {
     SCOPED_TRACE(name);
     EXPECT_FALSE(hasCode(r.sink, kDiagPendingBoundExceeded));
+  }
+}
+
+TEST(Analysis, StructuralNoteTextsArePinnedForTheRegistry) {
+  // L401 and L403 quote the FIRST run that witnesses them, so their texts
+  // pin the order the interpreter visits runs in (configs outer, cells in
+  // enumeration order), not just the verdicts.
+  const std::string kDead =
+      "estimates are stable from round 2 but the failure-free decision "
+      "waits until round 3 (1 dead round(s))";
+  const std::string kA1Quorum =
+      "p0 decides in round 1 having heard from 1 process(es), below the "
+      "n - t = 2 quorum (run: script{ })";
+  const std::string kA1After =
+      "9 message(s) still sent in round 2 after every correct process "
+      "decided by round 1 (run: script{ })";
+  const std::string kFast16 =
+      "16 message(s) still sent in round 2 after every correct process "
+      "decided by round 1 (run: script{ })";
+  const std::string kFOpt =
+      "8 message(s) still sent in round 2 after every correct process "
+      "decided by round 1 (run: script{ crash(p0@r1->{}) crash(p1@r1->{}) "
+      "})";
+  const std::map<std::string, std::vector<std::pair<std::string, std::string>>>
+      pinned = {
+          {"FloodSet", {{"L402", kDead}}},
+          {"FloodSetWS", {{"L402", kDead}}},
+          {"C_OptFloodSet", {{"L402", kDead}, {"L403", kFast16}}},
+          {"C_OptFloodSetWS", {{"L402", kDead}, {"L403", kFast16}}},
+          {"F_OptFloodSet", {{"L402", kDead}, {"L403", kFOpt}}},
+          {"F_OptFloodSetWS", {{"L402", kDead}, {"L403", kFOpt}}},
+          {"A1", {{"L401", kA1Quorum}, {"L403", kA1After}}},
+          {"A1WS_candidate", {{"L401", kA1Quorum}, {"L403", kA1After}}},
+          {"EarlyFloodSet",
+           {{"L403",
+             "16 message(s) still sent in round 3 after every correct "
+             "process decided by round 2 (run: script{ })"}}},
+          {"EarlyFloodSetWS", {{"L402", kDead}}},
+          {"NonUniformEarlyFloodSet", {{"L403", kFast16}}},
+      };
+  ASSERT_EQ(pinned.size(), reports().size());
+  for (const auto& [name, r] : reports()) {
+    SCOPED_TRACE(name);
+    std::vector<std::pair<std::string, std::string>> notes;
+    for (const Diagnostic& d : r.sink.diagnostics())
+      if (d.code == kDiagDecideBelowQuorum ||
+          d.code == kDiagDeadEstimateRounds ||
+          d.code == kDiagMessageAfterDecision)
+        notes.emplace_back(d.code, d.message);
+    const auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end());
+    EXPECT_EQ(notes, it->second);
   }
 }
 

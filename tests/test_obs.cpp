@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "consensus/registry.hpp"
@@ -92,6 +93,24 @@ TEST(TraceSessionTest, SpanNestingRoundTrip) {
 
   ASSERT_GT(snapshot.threadNames.size(), outer->tid);
   EXPECT_EQ(snapshot.threadNames[outer->tid], "obs-test");
+}
+
+TEST(TraceSessionTest, SpansAfterAThreadsFirstRecordKeepTheirDepth) {
+  // A fresh thread records for the first time when its first inner span
+  // closes; the spans it opens after that must still nest under the outer
+  // span that is open throughout.
+  obs::startTracing();
+  std::thread([] {
+    ScopedSpan outer("outer");
+    { ScopedSpan first("first-inner"); }
+    { ScopedSpan second("second-inner"); }
+  }).join();
+  const TraceSnapshot snapshot = obs::stopTracing();
+  ASSERT_EQ(snapshot.events.size(), 3u);
+  for (const SpanEvent& ev : snapshot.events) {
+    const std::string name = ev.name;
+    EXPECT_EQ(ev.depth, name == "outer" ? 0u : 1u) << name;
+  }
 }
 
 TEST(TraceSessionTest, StopWithoutStartIsEmptyAndRestartWorks) {

@@ -4,13 +4,20 @@
 // committed goldens under certs/.
 //
 // The expensive full regeneration (window up to n0 + 1 = 7 per entry) is
-// NOT run here — that is the param_golden_certs ctest (ssvsp_analyze
-// --recheck) and the CI param-certify leg.  These tests load the committed
-// goldens and check them the cheap ways: fingerprints, round-trips, claim
-// consistency, and the exhaustive sweep cross-check at the small sizes.
+// NOT run here — that is the param_golden_cert_<entry> ctests
+// (ssvsp_analyze --recheck, one per certificate) and the CI param-certify
+// leg.  These tests load the committed goldens and check them the cheap
+// ways: fingerprints, round-trips, claim consistency, and the exhaustive
+// sweep cross-check at the small sizes.
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 
+#include "consensus/messages.hpp"
 #include "gtest/gtest.h"
 #include "lint/codes.hpp"
 #include "param/certifier.hpp"
@@ -98,7 +105,7 @@ TEST(ParamAbstraction, FoldTracksBoundariesAndCorrectUndecided) {
                                        entry.factory, {0, 1, 0, 1},
                                        FailureScript{}, opt);
   AbstractionResult out;
-  foldRunAbstraction(run, /*countSaturation=*/2, out);
+  AbstractionFold(/*countSaturation=*/2, out).add(run);
   // One abstract state per boundary 0 .. roundsExecuted, chained by edges.
   EXPECT_EQ(out.states.size(),
             static_cast<std::size_t>(run.roundsExecuted + 1));
@@ -138,7 +145,7 @@ TEST(ParamAbstraction, DoomedProcessesDoNotCountAsCorrectUndecided) {
                                        entry.factory, {1, 0, 0, 0}, script,
                                        opt);
   AbstractionResult out;
-  foldRunAbstraction(run, 2, out);
+  AbstractionFold(2, out).add(run);
   for (const auto& [state, info] : out.info) {
     EXPECT_EQ(info.f, 1);
     if (info.r == 0) {
@@ -151,6 +158,199 @@ TEST(ParamAbstraction, DoomedProcessesDoNotCountAsCorrectUndecided) {
   }
   // No failure-free run seen, so no Lambda witness.
   EXPECT_EQ(out.lambdaWitnessLatency, kNoRound);
+}
+
+// ---- the interned fold against the string fold it replaced ---------------
+
+namespace reference {
+
+// The string fold AbstractionFold replaced, kept verbatim as the reference
+// the interned fold must reproduce: per run, per boundary and per process
+// an ostringstream class key, a std::map of classes, a state string and
+// string-pair edges.
+
+std::string pendProfile(const FailureScript& script, ProcessId p, Round r,
+                        int countSaturation) {
+  std::map<std::pair<Round, Round>, int> slots;
+  for (const PendingChoice& pc : script.pendings) {
+    if (pc.src != p || pc.arrival == kNoRound) continue;
+    if (pc.round <= r && r < pc.arrival) ++slots[{pc.round, pc.arrival}];
+  }
+  if (slots.empty()) return {};
+  std::ostringstream os;
+  os << " pend[";
+  bool first = true;
+  for (const auto& [slot, count] : slots) {
+    if (!first) os << ",";
+    first = false;
+    os << slot.first << ">" << slot.second << "x";
+    if (count >= countSaturation)
+      os << countSaturation << "+";
+    else
+      os << count;
+  }
+  os << "]";
+  return os.str();
+}
+
+std::string renderBroadcast(const Payload& payload) {
+  const std::optional<ValueSet> w = wire::decodeW(payload);
+  if (!w.has_value()) return payloadToString(payload);
+  std::ostringstream os;
+  os << "[" << wire::kTagW << " " << w->size();
+  for (Value v : *w) os << " " << v;
+  os << "]";
+  return os.str();
+}
+
+void foldRunAbstraction(const RoundRunResult& run, int countSaturation,
+                        AbstractionResult& out) {
+  const int c0 = std::max(1, countSaturation);
+  const int n = run.cfg.n;
+  const int fRun = run.script.numCrashes();
+
+  std::map<std::pair<ProcessId, Round>, const Payload*> broadcast;
+  for (const RoundDelivery& del : run.deliveries)
+    if (del.src == del.dst) broadcast[{del.src, del.sentRound}] = &del.payload;
+
+  std::string prev;
+  for (Round r = 0; r <= run.roundsExecuted; ++r) {
+    std::map<std::string, std::pair<int, bool>> classes;
+    bool aliveUndecided = false;
+    for (ProcessId p = 0; p < n; ++p) {
+      const Round rc = run.script.crashRound(p);
+      std::ostringstream key;
+      const bool crashed = rc != kNoRound && rc <= r;
+      if (crashed) {
+        key << "X@" << rc;
+      } else {
+        const bool doomed = rc != kNoRound;
+        key << (doomed ? "A!" : "A ");
+        if (doomed) key << rc << " ";
+        if (r == 0) {
+          key << "init=" << run.initial[static_cast<std::size_t>(p)];
+        } else {
+          const auto it = broadcast.find({p, r});
+          key << "w=" << (it != broadcast.end()
+                              ? renderBroadcast(*it->second)
+                              : std::string("(silent)"));
+        }
+        const Round d = run.decisionRound[static_cast<std::size_t>(p)];
+        if (d != kNoRound && d <= r) {
+          key << " d=" << *run.decision[static_cast<std::size_t>(p)];
+        } else {
+          key << " u";
+          if (!doomed) aliveUndecided = true;
+        }
+      }
+      key << pendProfile(run.script, p, r, c0);
+      auto& slot = classes[key.str()];
+      ++slot.first;
+      slot.second = !crashed;
+    }
+
+    std::ostringstream state;
+    state << "f=" << fRun << " r=" << r;
+    for (const auto& [key, slot] : classes) {
+      state << " | " << key << " x";
+      if (slot.second && slot.first >= c0)
+        state << c0 << "+";
+      else
+        state << slot.first;
+    }
+    std::string cur = state.str();
+
+    auto [it, inserted] = out.info.try_emplace(cur);
+    if (inserted) {
+      it->second.f = fRun;
+      it->second.r = r;
+      it->second.aliveUndecided = aliveUndecided;
+      out.states.insert(cur);
+    }
+    if (r > 0) out.edges.emplace(prev, cur);
+    prev = std::move(cur);
+  }
+
+  if (fRun == 0) {
+    const Round latency = run.latency();
+    if (latency != kNoRound &&
+        (out.lambdaWitnessLatency == kNoRound ||
+         latency > out.lambdaWitnessLatency)) {
+      out.lambdaWitnessLatency = latency;
+      out.lambdaWitnessOnes = static_cast<int>(
+          std::count(run.initial.begin(), run.initial.end(), Value{1}));
+    }
+  }
+}
+
+}  // namespace reference
+
+TEST(ParamAbstraction, InternedFoldMatchesTheStringFoldOnEveryRun) {
+  const std::pair<const char*, int> cases[] = {
+      {"FloodSet", 4}, {"FloodSetWS", 4}, {"A1", 3}};
+  for (const auto& [name, n] : cases) {
+    const AlgorithmEntry& entry = algorithmByName(name);
+    const RoundConfig cfg{n, canonicalAnalysisConfig(entry).t};
+    for (const int c0 : {1, 2}) {
+      SCOPED_TRACE(std::string(name) + " c0=" + std::to_string(c0));
+      AbstractionResult want, got;
+      AbstractionFold fold(c0, got);
+      std::int64_t runs = 0, diverged = 0;
+      interpretAutomaton(entry, cfg, [&](const RoundRunResult& run) {
+        reference::foldRunAbstraction(run, c0, want);
+        fold.add(run);
+        ++runs;
+        // Both folds only ever grow their sets, so equal sizes after every
+        // run and equal contents at the end mean each run added the same.
+        if (got.states.size() != want.states.size() ||
+            got.edges.size() != want.edges.size() ||
+            got.info.size() != want.info.size() ||
+            got.lambdaWitnessOnes != want.lambdaWitnessOnes ||
+            got.lambdaWitnessLatency != want.lambdaWitnessLatency)
+          ++diverged;
+      });
+      EXPECT_GT(runs, 0);
+      EXPECT_EQ(diverged, 0);
+      EXPECT_EQ(got.states, want.states);
+      EXPECT_EQ(got.edges, want.edges);
+      ASSERT_EQ(got.info.size(), want.info.size());
+      for (auto g = got.info.begin(), w = want.info.begin();
+           g != got.info.end(); ++g, ++w) {
+        EXPECT_EQ(g->first, w->first);
+        EXPECT_EQ(g->second.f, w->second.f) << g->first;
+        EXPECT_EQ(g->second.r, w->second.r) << g->first;
+        EXPECT_EQ(g->second.aliveUndecided, w->second.aliveUndecided)
+            << g->first;
+      }
+      EXPECT_EQ(got.lambdaWitnessOnes, want.lambdaWitnessOnes);
+      EXPECT_EQ(got.lambdaWitnessLatency, want.lambdaWitnessLatency);
+      EXPECT_GT(fold.classes(), 0);
+    }
+  }
+}
+
+TEST(ParamAbstraction, LambdaWitnessesArePinned) {
+  // (ones, latency) of each entry's worst failure-free run at n = t + 2.
+  // The witness is the FIRST worst run the interpreter visits, so this
+  // pins the visiting order of failure-free runs along with the fold.
+  const std::map<std::string, std::pair<int, Round>> pinned = {
+      {"FloodSet", {0, 3}},        {"FloodSetWS", {0, 3}},
+      {"C_OptFloodSet", {1, 3}},   {"C_OptFloodSetWS", {1, 3}},
+      {"F_OptFloodSet", {0, 3}},   {"F_OptFloodSetWS", {0, 3}},
+      {"A1", {0, 1}},              {"A1WS_candidate", {0, 1}},
+      {"EarlyFloodSet", {0, 2}},   {"EarlyFloodSetWS", {0, 3}},
+      {"NonUniformEarlyFloodSet", {0, 1}},
+  };
+  ASSERT_EQ(pinned.size(), algorithmRegistry().size());
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    const int n = canonicalAnalysisConfig(entry).t + 2;
+    const AbstractionResult res =
+        abstractInterpret(entry, n, entry.paramClaim.countSaturation);
+    const auto it = pinned.find(entry.name);
+    ASSERT_NE(it, pinned.end()) << entry.name;
+    EXPECT_EQ(res.lambdaWitnessOnes, it->second.first) << entry.name;
+    EXPECT_EQ(res.lambdaWitnessLatency, it->second.second) << entry.name;
+  }
 }
 
 TEST(ParamAbstraction, RowsAreTheQuotientInterpretersBounds) {
@@ -218,6 +418,15 @@ TEST(ParamCertificateSerde, FingerprintDetectsTampering) {
 // ---- committed goldens ----------------------------------------------------
 
 TEST(ParamGolden, EveryRegistryEntryHasAnIntactCommittedCertificate) {
+  // certs/ holds exactly one file per registry entry: ctest registers one
+  // param_golden_cert_<entry> recheck per file.
+  std::set<std::string> files, names;
+  for (const auto& file :
+       std::filesystem::directory_iterator(SSVSP_CERT_DIR))
+    files.insert(file.path().filename().string());
+  for (const AlgorithmEntry& entry : algorithmRegistry())
+    names.insert(entry.name + ".cert.json");
+  EXPECT_EQ(files, names);
   for (const AlgorithmEntry& entry : algorithmRegistry()) {
     const ParamCertificate cert = loadGolden(entry.name);
     EXPECT_EQ(cert.algorithm, entry.name);

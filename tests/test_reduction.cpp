@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/abstract_interp.hpp"
 #include "consensus/registry.hpp"
 #include "explore/reduction.hpp"
 #include "indep/independence.hpp"
@@ -303,6 +304,51 @@ TEST(RoundEngineResume, FullReuseWhenScriptsAgreeOnExecutedPrefix) {
   const RoundRunResult fresh =
       runRounds(cfg, entry.intendedModel, entry.factory, initial, late, eo);
   expectSameRun(engine.result(), fresh);
+}
+
+TEST(RoundEngineResume, TracedRunsMatchFreshRunsOverTheInterpreterSpace) {
+  // The interpreter's traversal on one traced engine: configs outer, the
+  // schedule cells inner, horizon t + 3 without early stop.  Resuming keeps
+  // the previous run's delivery prefix, so every run's trace must still
+  // equal a fresh execution's.
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    SCOPED_TRACE(entry.name);
+    const RoundConfig cfg = cfgOf(4, canonicalAnalysisConfig(entry).t);
+    RoundEngineOptions eo;
+    eo.horizon = cfg.t + 3;
+    eo.traceDeliveries = true;
+    eo.stopWhenAllDecided = false;
+    RoundEngine engine(cfg, entry.intendedModel, entry.factory, eo);
+    const std::vector<FailureScript> cells =
+        enumerateScheduleCells(cfg, entry.intendedModel);
+    std::int64_t mismatches = 0;
+    for (const std::vector<Value>& config : canonicalConfigs(cfg.n)) {
+      for (const FailureScript& script : cells) {
+        engine.execute(config, script);
+        const RoundRunResult& got = engine.result();
+        const RoundRunResult want = runRounds(cfg, entry.intendedModel,
+                                              entry.factory, config, script,
+                                              eo);
+        bool same = got.decision == want.decision &&
+                    got.decisionRound == want.decisionRound &&
+                    got.sentPerRound == want.sentPerRound &&
+                    got.peakPendingInFlight == want.peakPendingInFlight &&
+                    got.deliveries.size() == want.deliveries.size();
+        for (std::size_t i = 0; same && i < got.deliveries.size(); ++i) {
+          const RoundDelivery& a = got.deliveries[i];
+          const RoundDelivery& b = want.deliveries[i];
+          same = a.deliveredRound == b.deliveredRound &&
+                 a.sentRound == b.sentRound && a.src == b.src &&
+                 a.dst == b.dst && a.payload == b.payload;
+        }
+        if (!same && ++mismatches == 1)
+          ADD_FAILURE() << "first mismatch: " << want.toString();
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    // The traversal must actually resume from checkpoints under tracing.
+    EXPECT_GT(engine.stats().roundsResumed, 0);
+  }
 }
 
 TEST(RoundEngineResume, DivergenceRoundBasics) {
