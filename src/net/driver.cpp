@@ -28,7 +28,7 @@ Payload storeBody(bool hasBody, const Payload& body) {
   Payload stored;
   stored.reserve(body.size() + 1);
   stored.push_back(hasBody ? 1 : 0);
-  stored.insert(stored.end(), body.begin(), body.end());
+  for (std::int32_t word : body) stored.push_back(word);
   return stored;
 }
 
@@ -62,9 +62,10 @@ bool RwsFromSpDriver::onPayload(ProcessId from, std::string_view payload) {
   auto& slots = buffered_[round];
   if (slots.empty())
     slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-  SSVSP_CHECK_MSG(!slots[static_cast<std::size_t>(from)].has_value(),
-                  "duplicate round " << round << " message from p" << from);
-  slots[static_cast<std::size_t>(from)] = storeBody(hasBody, body);
+  // A second frame for a (round, sender) slot still buffered is a duplicate:
+  // keep the first copy.  A malformed datagram must never kill the node.
+  auto& slot = slots[static_cast<std::size_t>(from)];
+  if (!slot.has_value()) slot = storeBody(hasBody, body);
   return true;
 }
 

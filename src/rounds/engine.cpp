@@ -1,6 +1,7 @@
 #include "rounds/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <sstream>
 #include <typeinfo>
@@ -230,9 +231,23 @@ void RoundEngine::restore(const RoundCheckpoint& cp) {
 
 void RoundEngine::runFrom(Round firstRound, const FailureScript& script) {
   lastStopped_ = false;
-  const auto crashRound = [&script](ProcessId p) {
-    return script.crashRound(p);
-  };
+  // Resolve the script once per run: FailureScript's lookups are linear
+  // scans, and the loops below would otherwise repeat them per (process,
+  // round) and per message.  Scripts reach here validated, so each process
+  // crashes at most once.
+  const std::size_t n = static_cast<std::size_t>(cfg_.n);
+  std::array<Round, kMaxProcs> crashRound{};
+  std::array<ProcessSet, kMaxProcs> sendTo{};
+  for (std::size_t p = 0; p < n; ++p) {
+    crashRound[p] = kNoRound;
+    sendTo[p] = ProcessSet::full(cfg_.n);
+  }
+  for (const CrashEvent& c : script.crashes) {
+    crashRound[static_cast<std::size_t>(c.p)] = c.round;
+    sendTo[static_cast<std::size_t>(c.p)] = c.sendTo;
+  }
+  const bool anyPending = !script.pendings.empty();
+  std::array<std::size_t, kMaxProcs> oldest{};  ///< per sender, into a box
 
   for (Round r = firstRound; r <= options_.horizon; ++r) {
     // Snapshot the END of the previous round lazily: the final executed
@@ -246,81 +261,74 @@ void RoundEngine::runFrom(Round firstRound, const FailureScript& script) {
     ++stats_.roundsExecuted;
 
     // ---- send phase (msgs_i applied to the pre-round states) ----
-    for (ProcessId p = 0; p < cfg_.n; ++p) {
-      const Round cr = crashRound(p);
+    for (std::size_t p = 0; p < n; ++p) {
+      const Round cr = crashRound[p];
       if (cr < r) continue;  // already crashed: sends nothing
       const bool crashingNow = (cr == r);
-      const ProcessSet sendTo = script.sendSubset(p, cfg_.n);
       for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
-        std::optional<Payload> msg =
-            procs_[static_cast<std::size_t>(p)]->messageFor(dst);
+        std::optional<Payload> msg = procs_[p]->messageFor(dst);
         if (!msg.has_value()) continue;
-        if (crashingNow && !sendTo.contains(dst)) continue;  // never sent
+        if (crashingNow && !sendTo[p].contains(dst)) continue;  // never sent
         ++result_.sentPerRound.back();
-        InFlightMsg f;
-        f.src = p;
-        f.sentRound = r;
-        f.arrival = r;
-        if (const PendingChoice* pc = script.pendingFor(p, dst, r)) {
-          if (pc->arrival == kNoRound) continue;  // surfaces after the horizon
-          f.arrival = pc->arrival;
+        const ProcessId src = static_cast<ProcessId>(p);
+        Round arrival = r;
+        if (anyPending) {
+          if (const PendingChoice* pc = script.pendingFor(src, dst, r)) {
+            // kNoRound: the message surfaces after the horizon.
+            if (pc->arrival == kNoRound) continue;
+            arrival = pc->arrival;
+          }
         }
-        f.payload = std::move(*msg);
-        inbox_[static_cast<std::size_t>(dst)].push_back(std::move(f));
+        inbox_[static_cast<std::size_t>(dst)].push_back(
+            {src, r, arrival, std::move(*msg)});
       }
     }
 
     // ---- receive + transition phase ----
-    for (ProcessId p = 0; p < cfg_.n; ++p) {
-      const Round cr = crashRound(p);
-      if (cr <= r) {
+    for (std::size_t p = 0; p < n; ++p) {
+      auto& box = inbox_[p];
+      if (crashRound[p] <= r) {
         // Crashed during (or before) this round: performs no transition and
         // will never consume its inbox again.
-        inbox_[static_cast<std::size_t>(p)].clear();
+        box.clear();
         continue;
       }
-      auto& box = inbox_[static_cast<std::size_t>(p)];
       // FIFO per sender: among deliverable messages (arrival <= r) pick the
       // oldest per sender; the rest stay for later rounds.
-      receivedScratch_.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-      takenScratch_.clear();
-      for (ProcessId src = 0; src < cfg_.n; ++src) {
-        std::size_t best = box.size();
-        for (std::size_t i = 0; i < box.size(); ++i) {
-          if (box[i].src != src || box[i].arrival > r) continue;
-          if (best == box.size() || box[i].sentRound < box[best].sentRound)
-            best = i;
-        }
-        if (best == box.size()) continue;
-        if (options_.traceDeliveries) {
-          RoundDelivery d;
-          d.deliveredRound = r;
-          d.sentRound = box[best].sentRound;
-          d.src = src;
-          d.dst = p;
-          d.payload = box[best].payload;
-          result_.deliveries.push_back(std::move(d));
-        }
-        receivedScratch_[static_cast<std::size_t>(src)] =
-            std::move(box[best].payload);
-        takenScratch_.push_back(best);
+      std::fill_n(oldest.begin(), n, box.size());
+      for (std::size_t i = 0; i < box.size(); ++i) {
+        if (box[i].arrival > r) continue;
+        std::size_t& best = oldest[static_cast<std::size_t>(box[i].src)];
+        if (best == box.size() || box[i].sentRound < box[best].sentRound)
+          best = i;
       }
-      std::sort(takenScratch_.begin(), takenScratch_.end());
-      for (auto it = takenScratch_.rbegin(); it != takenScratch_.rend(); ++it)
-        box.erase(box.begin() + static_cast<std::ptrdiff_t>(*it));
+      receivedScratch_.assign(n, std::nullopt);
+      bool tookAny = false;
+      for (std::size_t src = 0; src < n; ++src) {
+        if (oldest[src] == box.size()) continue;
+        InFlightMsg& m = box[oldest[src]];
+        if (options_.traceDeliveries)
+          result_.deliveries.push_back(
+              {r, m.sentRound, m.src, static_cast<ProcessId>(p), m.payload});
+        receivedScratch_[src] = std::move(m.payload);
+        m.src = kNoProcess;  // consumed; swept out below
+        tookAny = true;
+      }
+      if (tookAny)
+        std::erase_if(box,
+                      [](const InFlightMsg& m) { return m.src == kNoProcess; });
 
-      procs_[static_cast<std::size_t>(p)]->transition(receivedScratch_);
+      procs_[p]->transition(receivedScratch_);
 
-      const std::optional<Value> d =
-          procs_[static_cast<std::size_t>(p)]->decision();
-      auto& slot = result_.decision[static_cast<std::size_t>(p)];
+      const std::optional<Value> d = procs_[p]->decision();
+      auto& slot = result_.decision[p];
       if (d.has_value()) {
         if (slot.has_value()) {
           SSVSP_CHECK_MSG(*slot == *d, "p" << p << " changed its decision from "
                                            << *slot << " to " << *d);
         } else {
           slot = d;
-          result_.decisionRound[static_cast<std::size_t>(p)] = r;
+          result_.decisionRound[p] = r;
         }
       } else {
         SSVSP_CHECK_MSG(!slot.has_value(), "p" << p << " revoked its decision");
@@ -334,9 +342,9 @@ void RoundEngine::runFrom(Round firstRound, const FailureScript& script) {
 
     if (options_.stopWhenAllDecided) {
       bool allDone = true;
-      for (ProcessId p = 0; p < cfg_.n; ++p) {
-        if (crashRound(p) <= r) continue;
-        if (!result_.decision[static_cast<std::size_t>(p)].has_value()) {
+      for (std::size_t p = 0; p < n; ++p) {
+        if (crashRound[p] <= r) continue;
+        if (!result_.decision[p].has_value()) {
           allDone = false;
           break;
         }

@@ -155,6 +155,10 @@ Round divergenceRound(const FailureScript& a, const FailureScript& b);
 /// rounds.  Results are bit-identical to fresh execution by construction: a
 /// resumed run continues from a deep copy of exactly the state a fresh run
 /// would have reached.
+///
+/// Once warm — every schedule cell of one initial configuration executed —
+/// execute() makes no heap allocation (payloads are inline, buffers keep
+/// their high-water capacity; tests/test_alloc.cpp, DESIGN.md §15).
 class RoundEngine {
  public:
   /// Throws InvariantViolation on an inadmissible cfg or horizon < 1.
@@ -217,7 +221,6 @@ class RoundEngine {
   std::vector<std::unique_ptr<RoundAutomaton>> procs_;  ///< pooled instances
   std::vector<std::vector<InFlightMsg>> inbox_;
   std::vector<std::optional<Payload>> receivedScratch_;
-  std::vector<std::size_t> takenScratch_;
   RoundRunResult result_;
   bool resultValid_ = false;
 

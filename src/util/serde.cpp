@@ -17,11 +17,6 @@ PayloadWriter& PayloadWriter::putProcessSet(ProcessSet s) {
   return *this;
 }
 
-std::int32_t PayloadReader::getInt() {
-  SSVSP_CHECK_MSG(pos_ < buf_.size(), "payload underflow at word " << pos_);
-  return buf_[pos_++];
-}
-
 ProcessSet PayloadReader::getProcessSet() {
   const auto lo = static_cast<std::uint32_t>(getInt());
   const auto hi = static_cast<std::uint32_t>(getInt());

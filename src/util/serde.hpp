@@ -1,11 +1,11 @@
 // Serialization substrate: payload encoding for simulated messages, and the
 // shared JSON writer/reader every machine-readable artifact goes through.
 //
-// Messages in the step-level simulators carry an opaque vector of int32
+// Messages in the step-level simulators carry an opaque sequence of int32
 // words; algorithms encode their fields through PayloadWriter and decode
 // them through PayloadReader.  Keeping payloads as plain ints makes traces
 // printable and run comparison (indistinguishability arguments!) a plain
-// vector compare.
+// word compare.
 //
 // JsonWriter is the one JSON emitter in the tree (lint diagnostics, analysis
 // reports, bench reports, obs trace/metrics exports all render through it);
@@ -13,8 +13,14 @@
 // artifact validator to round-trip what the writers emit.
 #pragma once
 
+#include <algorithm>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,7 +34,150 @@
 
 namespace ssvsp {
 
-using Payload = std::vector<std::int32_t>;
+/// A message payload: a sequence of int32 words with the value semantics of
+/// std::vector<std::int32_t> (copy, move, ==, lexicographic <, iteration,
+/// push_back/clear).  Up to kInlineWords words live inside the object; a
+/// longer payload moves its words to one heap buffer, which then grows by
+/// doubling like a vector's.
+///
+/// The inline capacity is what makes the round engine allocation-free: every
+/// registry consensus message fits (a W set is 3 words, tagged messages 2),
+/// and so does the RWS-from-SP emulation wrapper around the largest of them
+/// (round + hasBody flag + 3 body words = 5).  The sixth word is free: a
+/// 4-byte size and capacity over a union of 6 words and a heap pointer is
+/// 32 bytes, the same as 5 words padded to the pointer's alignment.  The
+/// broadcast/ and commit/ messages (2 + 2n words) take the heap path.
+class Payload {
+ public:
+  using iterator = std::int32_t*;
+  using const_iterator = const std::int32_t*;
+
+  static constexpr std::size_t kInlineWords = 6;
+
+  Payload() noexcept = default;
+  Payload(std::initializer_list<std::int32_t> words) {
+    assign(words.begin(), words.size());
+  }
+  template <std::input_iterator It>
+  Payload(It first, It last) {
+    if constexpr (std::forward_iterator<It>)
+      reserve(static_cast<std::size_t>(std::distance(first, last)));
+    for (; first != last; ++first) push_back(*first);
+  }
+  Payload(const Payload& other) { *this = other; }
+  Payload(Payload&& other) noexcept { steal(other); }
+  Payload& operator=(const Payload& other) {
+    if (this == &other) return *this;
+    if (!onHeap() && !other.onHeap())
+      copyInline(other);
+    else
+      assign(other.data(), other.size());
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this == &other) return *this;
+    if (other.onHeap()) {
+      release();
+      steal(other);
+      return *this;
+    }
+    // Inline source: copy its words, keeping any buffer of our own.
+    if (onHeap()) {
+      std::copy_n(other.inline_, other.size_, heap_);
+      size_ = other.size_;
+    } else {
+      copyInline(other);
+    }
+    other.size_ = 0;
+    return *this;
+  }
+  ~Payload() { release(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return cap_; }
+  std::int32_t* data() { return onHeap() ? heap_ : inline_; }
+  const std::int32_t* data() const { return onHeap() ? heap_ : inline_; }
+  iterator begin() { return data(); }
+  iterator end() { return data() + size_; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size_; }
+  std::int32_t& operator[](std::size_t i) { return data()[i]; }
+  const std::int32_t& operator[](std::size_t i) const { return data()[i]; }
+
+  void push_back(std::int32_t word) {
+    if (size_ == cap_) grow(2 * static_cast<std::size_t>(cap_));
+    data()[size_++] = word;
+  }
+  void reserve(std::size_t words) {
+    if (words > cap_) grow(words);
+  }
+  /// Drops the words but keeps the capacity, like std::vector::clear.
+  void clear() { size_ = 0; }
+
+  friend bool operator==(const Payload& a, const Payload& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend std::strong_ordering operator<=>(const Payload& a,
+                                          const Payload& b) {
+    return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                  b.begin(), b.end());
+  }
+
+ private:
+  bool onHeap() const { return cap_ > kInlineWords; }
+  /// Replaces the words with [words, words + n), growing if needed.
+  void assign(const std::int32_t* words, std::size_t n) {
+    if (n > cap_) {
+      size_ = 0;  // nothing to carry over
+      grow(n);
+    }
+    std::copy_n(words, n, data());
+    size_ = static_cast<std::uint32_t>(n);
+  }
+  /// Moves the first size_ words into a heap buffer of `words` capacity.
+  void grow(std::size_t words) {
+    SSVSP_CHECK_MSG(words <= UINT32_MAX, "payload of " << words << " words");
+    auto* buf = new std::int32_t[words];
+    std::copy_n(data(), size_, buf);
+    release();
+    heap_ = buf;
+    cap_ = static_cast<std::uint32_t>(words);
+  }
+  void release() {
+    if (onHeap()) delete[] heap_;
+  }
+  /// Copies all inline words of an inline `other`, used or not: a fixed-
+  /// size copy is a few register moves where a size_-word copy is a
+  /// memmove call.  The unused words are initialized (zeroed at
+  /// construction), and memcpy reads them as bytes whichever union member
+  /// last held them.
+  void copyInline(const Payload& other) noexcept {
+    std::memcpy(inline_, other.inline_, sizeof inline_);
+    size_ = other.size_;
+  }
+  /// Takes other's words (its buffer, if on the heap) and leaves it empty
+  /// and inline.  Expects *this to own no buffer.
+  void steal(Payload& other) noexcept {
+    if (other.onHeap()) {
+      heap_ = other.heap_;
+      cap_ = other.cap_;
+      size_ = other.size_;
+    } else {
+      copyInline(other);
+    }
+    other.size_ = 0;
+    other.cap_ = kInlineWords;
+  }
+
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInlineWords;
+  union {
+    std::int32_t inline_[kInlineWords] = {};
+    std::int32_t* heap_;
+  };
+};
+static_assert(sizeof(Payload) == 32);
 
 class PayloadWriter {
  public:
@@ -54,7 +203,10 @@ class PayloadReader {
  public:
   explicit PayloadReader(const Payload& p) : buf_(p) {}
 
-  std::int32_t getInt();
+  std::int32_t getInt() {
+    SSVSP_CHECK_MSG(pos_ < buf_.size(), "payload underflow at word " << pos_);
+    return buf_[pos_++];
+  }
   Value getValue() { return getInt(); }
   ProcessId getProcess() { return getInt(); }
   bool getBool() { return getInt() != 0; }

@@ -12,6 +12,7 @@
 //   * a full in-process cluster: n NetNodes round-robined on a FakeClock
 //     reach consensus within the analyzer's Lat(A, f), with and without a
 //     scripted crash;
+//   * RwsFromSpDriver keeps the first copy of a duplicate round frame;
 //   * NodeReport JSON round trip (the harness's child-to-parent channel).
 //
 // The fork/SIGKILL half of the harness is exercised by the ssvsp_net CLI
@@ -28,6 +29,7 @@
 #include "analysis/abstract_interp.hpp"
 #include "consensus/registry.hpp"
 #include "fd/axioms.hpp"
+#include "net/driver.hpp"
 #include "net/harness.hpp"
 #include "net/node.hpp"
 #include "runtime/failure_pattern.hpp"
@@ -402,6 +404,65 @@ TEST(NetNodeTest, ScriptedCrashSurvivorsAgreeWithinLatAndSuspectOnlyIt) {
     EXPECT_EQ(r.suspectedFinal, ProcessSet::single(0).mask())
         << "p" << r.node << " suspected " << r.suspectedFinal;
   }
+}
+
+/// What p0's driver saw after p1's round-1 frame arrived `copies` times:
+/// round 1 under no suspicion, then round 2 with p1 suspected.
+struct DriverView {
+  int firstAdvance = 0;
+  int secondAdvance = 0;
+  std::vector<ProcessSet> heardPerRound;
+  std::int64_t lateDeliveries = 0;
+};
+
+DriverView feedRoundFrame(int copies) {
+  const RoundConfig cfg{2, 1};
+  const AlgorithmEntry* entry = findAlgorithm("FloodSet");
+  EXPECT_NE(entry, nullptr);
+  auto fleet = boundFleet(cfg.n);
+  PerfectLink link(*fleet[0], 0, cfg.n);
+  RwsFromSpDriver driver(entry->factory(0), cfg, 0, /*initial=*/0,
+                         /*maxRounds=*/2, link);
+
+  // p1's round-1 frame as its driver puts it on the link:
+  // kind | round | hasBody | body words.
+  auto sender = entry->factory(1);
+  sender->begin(1, cfg, 1);
+  const std::optional<Payload> body = sender->messageFor(0);
+  EXPECT_TRUE(body.has_value());
+  std::string frame;
+  RecordWriter w(frame);
+  w.putU8(static_cast<std::uint8_t>(ChannelKind::kRound));
+  w.putI32(1);
+  w.putU8(1);
+  for (std::int32_t word : *body) w.putI32(word);
+
+  for (int i = 0; i < copies; ++i) EXPECT_TRUE(driver.onPayload(1, frame));
+  DriverView view;
+  view.firstAdvance = driver.advance(ProcessSet{});
+  view.secondAdvance = driver.advance(ProcessSet{1});
+  view.heardPerRound = driver.heardPerRound();
+  view.lateDeliveries = driver.lateDeliveries();
+  return view;
+}
+
+TEST(RwsFromSpDriverTest, DuplicateRoundFrameKeepsTheFirstCopy) {
+  const DriverView once = feedRoundFrame(1);
+  ASSERT_EQ(once.firstAdvance, 1);
+  ASSERT_EQ(once.secondAdvance, 1);
+  ASSERT_EQ(once.heardPerRound.size(), 2u);
+  EXPECT_EQ(once.heardPerRound[0], (ProcessSet{0, 1}));
+  EXPECT_EQ(once.heardPerRound[1], ProcessSet{0});  // p1 silent, suspected
+
+  // The duplicate neither kills the node nor surfaces as a second (late)
+  // round-1 message from p1 in round 2.
+  DriverView twice;
+  ASSERT_NO_THROW(twice = feedRoundFrame(2));
+  EXPECT_EQ(twice.firstAdvance, once.firstAdvance);
+  EXPECT_EQ(twice.secondAdvance, once.secondAdvance);
+  EXPECT_EQ(twice.heardPerRound, once.heardPerRound);
+  EXPECT_EQ(twice.lateDeliveries, once.lateDeliveries);
+  EXPECT_EQ(twice.lateDeliveries, 0);
 }
 
 TEST(NodeReportTest, JsonRoundTrip) {

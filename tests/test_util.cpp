@@ -223,6 +223,137 @@ TEST(Serde, UnderflowThrows) {
 TEST(Serde, PayloadToString) {
   EXPECT_EQ(payloadToString({1, 2, 3}), "[1 2 3]");
   EXPECT_EQ(payloadToString({}), "[]");
+  EXPECT_EQ(payloadToString({-1, 0, 2, 3, 4, 5, 6, 7}), "[-1 0 2 3 4 5 6 7]");
+}
+
+// Payload keeps std::vector<std::int32_t> value semantics on both sides of
+// its inline/heap boundary: kInlineWords words stay inside the object, one
+// more moves them to the heap.
+constexpr std::size_t kInline = Payload::kInlineWords;
+
+/// Words 1, 2, .., n (distinct, so a swapped or lost word shows).
+Payload counting(std::size_t n, std::int32_t from = 1) {
+  Payload p;
+  for (std::size_t i = 0; i < n; ++i)
+    p.push_back(from + static_cast<std::int32_t>(i));
+  return p;
+}
+
+std::vector<std::int32_t> asVector(const Payload& p) {
+  return std::vector<std::int32_t>(p.begin(), p.end());
+}
+
+TEST(Payload, InlineBoundary) {
+  const Payload atCapacity = counting(kInline);
+  EXPECT_EQ(atCapacity.size(), kInline);
+  EXPECT_EQ(atCapacity.capacity(), kInline);  // still inline
+  const Payload spilled = counting(kInline + 1);
+  EXPECT_EQ(spilled.size(), kInline + 1);
+  EXPECT_GT(spilled.capacity(), kInline);
+  for (std::size_t i = 0; i < kInline + 1; ++i)
+    EXPECT_EQ(spilled[i], static_cast<std::int32_t>(i + 1));
+  for (std::size_t i = 0; i < kInline; ++i)
+    EXPECT_EQ(atCapacity[i], static_cast<std::int32_t>(i + 1));
+  EXPECT_EQ(sizeof(Payload), 32u);
+
+  // Initializer-list and iterator-range construction on both sides.
+  EXPECT_EQ((Payload{1, 2, 3, 4, 5, 6}), atCapacity);
+  EXPECT_EQ((Payload{1, 2, 3, 4, 5, 6, 7}), spilled);
+  const std::vector<std::int32_t> words{1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(Payload(words.begin(), words.end()), spilled);
+  EXPECT_EQ(Payload(words.begin(), words.begin() + kInline), atCapacity);
+  EXPECT_EQ(asVector(spilled), words);
+
+  // clear() keeps the buffer, like std::vector.
+  Payload cleared = spilled;
+  const std::size_t cap = cleared.capacity();
+  cleared.clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(cleared.capacity(), cap);
+  cleared.push_back(9);
+  EXPECT_EQ(cleared, Payload{9});
+}
+
+TEST(Payload, CopyMoveAndSelfAssignmentInEveryDirection) {
+  const std::size_t sizes[] = {0, 2, kInline, kInline + 1, 3 * kInline};
+  for (const std::size_t from : sizes) {
+    const Payload source = counting(from, 100);
+    SCOPED_TRACE("source size " + std::to_string(from));
+
+    Payload copied(source);
+    EXPECT_EQ(copied, source);
+    Payload moveSource(source);
+    Payload moved(std::move(moveSource));
+    EXPECT_EQ(moved, source);
+    EXPECT_TRUE(moveSource.empty());  // NOLINT(bugprone-use-after-move)
+
+    for (const std::size_t to : sizes) {
+      SCOPED_TRACE("target size " + std::to_string(to));
+      Payload copyTarget = counting(to);
+      copyTarget = source;
+      EXPECT_EQ(copyTarget, source);
+      EXPECT_EQ(asVector(copyTarget), asVector(source));
+
+      Payload moveTarget = counting(to);
+      Payload donor(source);
+      moveTarget = std::move(donor);
+      EXPECT_EQ(moveTarget, source);
+      EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
+      // A moved-from payload is reusable.
+      donor.push_back(7);
+      EXPECT_EQ(donor, Payload{7});
+
+      // The target keeps working after growing across the boundary.
+      for (std::size_t i = 0; i < kInline + 2; ++i) copyTarget.push_back(-1);
+      EXPECT_EQ(copyTarget.size(), from + kInline + 2);
+      EXPECT_EQ(Payload(copyTarget.begin(), copyTarget.begin() + from),
+                source);
+    }
+
+    Payload self = source;
+    Payload& alias = self;
+    self = alias;
+    EXPECT_EQ(self, source);
+    self = std::move(alias);
+    EXPECT_EQ(self, source);
+  }
+}
+
+TEST(Payload, ComparisonAgreesWithVector) {
+  Rng rng(0x9a71);
+  std::vector<std::vector<std::int32_t>> words;
+  for (int i = 0; i < 400; ++i) {
+    const auto len = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(2 * kInline + 1)));
+    std::vector<std::int32_t> w;
+    // A small alphabet, so equal prefixes and equal payloads are common.
+    for (std::size_t k = 0; k < len; ++k)
+      w.push_back(static_cast<std::int32_t>(rng.uniformInt(-1, 1)));
+    words.push_back(std::move(w));
+  }
+  for (const auto& a : words) {
+    const Payload pa(a.begin(), a.end());
+    ASSERT_EQ(pa.size(), a.size());
+    for (const auto& b : words) {
+      const Payload pb(b.begin(), b.end());
+      EXPECT_EQ(pa == pb, a == b);
+      EXPECT_EQ(pa != pb, a != b);
+      EXPECT_EQ(pa < pb, a < b);
+      EXPECT_EQ(pa <= pb, a <= b);
+      EXPECT_EQ(pa > pb, a > b);
+    }
+  }
+}
+
+TEST(Payload, ReaderUnderflowThrowsOnBothSidesOfTheBoundary) {
+  for (const std::size_t n : {std::size_t{0}, kInline, kInline + 1}) {
+    const Payload p = counting(n);
+    PayloadReader r(p);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(r.getInt(), static_cast<std::int32_t>(i + 1));
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_THROW(r.getInt(), InvariantViolation);
+  }
 }
 
 TEST(Stats, BasicSummary) {
