@@ -67,6 +67,13 @@ std::vector<std::vector<ProcessId>> crasherSets(int n, int k) {
   return {dedup.begin(), dedup.end()};
 }
 
+/// The crash budget a caller asked for, defaulted and capped at cfg.t.
+int crashBudget(const RoundConfig& cfg, std::optional<int> maxCrashes) {
+  const int budget = std::min(maxCrashes.value_or(cfg.t), cfg.t);
+  SSVSP_CHECK(budget >= 0);
+  return budget;
+}
+
 /// Per-crasher plan: one point of the per-crasher choice lattice.
 struct CrasherPlan {
   Round round = 1;
@@ -114,8 +121,9 @@ void appendCell(const RoundConfig& cfg, RoundModel model,
 
 }  // namespace
 
-std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
-                                                  RoundModel model) {
+std::vector<FailureScript> enumerateScheduleCells(
+    const RoundConfig& cfg, RoundModel model, std::optional<int> maxCrashes) {
+  const int budget = crashBudget(cfg, maxCrashes);
   std::vector<FailureScript> cells;
   std::set<std::string> seen;
   cells.push_back(FailureScript{});  // the failure-free cell
@@ -139,7 +147,7 @@ std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
     }
   }
 
-  for (int k = 1; k <= cfg.t; ++k) {
+  for (int k = 1; k <= budget; ++k) {
     for (const std::vector<ProcessId>& ids : crasherSets(cfg.n, k)) {
       // Cartesian product of per-crasher plans, odometer style.
       std::vector<std::size_t> pick(static_cast<std::size_t>(k), 0);
@@ -162,9 +170,11 @@ std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
 
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
-                                  const RunObserver& observer) {
+                                  const RunObserver& observer,
+                                  std::optional<int> maxCrashes) {
   const std::vector<FailureScript> cells = enumerateScheduleCells(
-      cfg, entry.intendedModel);
+      cfg, entry.intendedModel, maxCrashes);
+  const int budget = crashBudget(cfg, maxCrashes);
   const std::vector<std::vector<Value>> configs = canonicalConfigs(cfg.n);
 
   RoundEngineOptions engineOpt;
@@ -178,7 +188,7 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
   bounds.cells = static_cast<std::int64_t>(cells.size());
 
   // Joined per exact crash count first; prefixes give the <= f semantics.
-  std::vector<PerBudgetBounds> byExact(static_cast<std::size_t>(cfg.t) + 1);
+  std::vector<PerBudgetBounds> byExact(static_cast<std::size_t>(budget) + 1);
   std::vector<Round> minPerConfig(configs.size(), kNoRound);
 
   // One pooled engine, configs outer: consecutive runs share their initial

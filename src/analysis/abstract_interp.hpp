@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "consensus/registry.hpp"
@@ -50,9 +51,12 @@ std::vector<std::vector<Value>> canonicalConfigs(int n);
 
 /// The schedule cells for (cfg, model): deduplicated, validateScript-legal
 /// failure scripts per the quotient described above.  Polynomial in t for
-/// fixed crash budget, versus the exponential full enumeration.
-std::vector<FailureScript> enumerateScheduleCells(const RoundConfig& cfg,
-                                                  RoundModel model);
+/// fixed crash budget, versus the exponential full enumeration.  Cells are
+/// ordered by crash count, so the cells with at most `maxCrashes` crashes
+/// (default and cap: cfg.t) are a prefix of the full list.
+std::vector<FailureScript> enumerateScheduleCells(
+    const RoundConfig& cfg, RoundModel model,
+    std::optional<int> maxCrashes = std::nullopt);
 
 /// Join of all cells with at most f crashes (index f of
 /// AbstractBounds::byMaxCrashes).
@@ -72,7 +76,7 @@ struct AbstractBounds {
   Round lat = kNoRound;     ///< lat(A): min |r| over all cells
   Round latMax = 0;         ///< Lat(A): max over configs of per-config min
   Round lambda = kNoRound;  ///< Lambda(A) = Lat(A, 0)
-  std::vector<PerBudgetBounds> byMaxCrashes;  ///< index f = 0 .. t
+  std::vector<PerBudgetBounds> byMaxCrashes;  ///< index f = 0 .. budget
   std::int64_t cells = 0;   ///< schedule cells interpreted
   std::int64_t runs = 0;    ///< cells x canonical configs
 };
@@ -86,9 +90,13 @@ using RunObserver = std::function<void(const RoundRunResult&)>;
 
 /// Interprets `entry` over the abstract schedule space at `cfg` on one
 /// pooled RoundEngine.  Runs with horizon t + 3 and no early stop, so
-/// post-decision traffic and quiescence are visible.
+/// post-decision traffic and quiescence are visible.  `maxCrashes` (default
+/// cfg.t) bounds the cells interpreted: byMaxCrashes[f] for f <= budget is
+/// the same as the full interpretation's, and every other field (lat,
+/// latMax, cells, runs) describes the budgeted space only.
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
-                                  const RunObserver& observer = {});
+                                  const RunObserver& observer = {},
+                                  std::optional<int> maxCrashes = std::nullopt);
 
 }  // namespace ssvsp

@@ -1,5 +1,6 @@
 #include "net/harness.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -78,8 +79,9 @@ bool parseProgress(std::string_view bytes, ProgressKind* kind,
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f) {
   if (f < 0 || f > cfg.t) return kNoRound;
-  const AbstractBounds bounds = interpretAutomaton(entry, cfg);
-  if (f >= static_cast<int>(bounds.byMaxCrashes.size())) return kNoRound;
+  // byMaxCrashes[f] joins only cells with at most f crashes, so the cells
+  // beyond that budget cannot move it.
+  const AbstractBounds bounds = interpretAutomaton(entry, cfg, {}, f);
   const Round latest = bounds.byMaxCrashes[static_cast<std::size_t>(f)].latest;
   return latest == 0 ? kNoRound : latest;
 }
@@ -149,6 +151,14 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
   LaunchSpec childSpec = spec;
   if (childSpec.maxRounds <= 0) childSpec.maxRounds = spec.cfg.t + 2;
 
+  // The exit pipe: every child holds its write end until it dies, so the
+  // read end hangs up the moment the last child is gone.
+  int exitPipe[2];
+  if (::pipe(exitPipe) != 0) {
+    fail(std::string("pipe: ") + std::strerror(errno));
+    return result;
+  }
+
   // Phase 2: fork the nodes.  Each child keeps exactly its own socket.
   result.nodes.assign(static_cast<std::size_t>(n), NodeOutcome{});
   for (ProcessId p = 0; p < n; ++p) {
@@ -158,9 +168,12 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
     const pid_t pid = ::fork();
     if (pid < 0) {
       fail(std::string("fork: ") + std::strerror(errno));
-      for (ProcessId q = 0; q < p; ++q)
-        ::kill(result.nodes[static_cast<std::size_t>(q)].pid, SIGKILL);
-      while (::waitpid(-1, nullptr, 0) > 0) {
+      ::close(exitPipe[0]);
+      ::close(exitPipe[1]);
+      for (ProcessId q = 0; q < p; ++q) {
+        const pid_t child = result.nodes[static_cast<std::size_t>(q)].pid;
+        ::kill(child, SIGKILL);
+        ::waitpid(child, nullptr, 0);
       }
       return result;
     }
@@ -169,12 +182,14 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
       for (ProcessId q = 0; q < n; ++q)
         if (q != p) ::close(sockets[static_cast<std::size_t>(q)]->fd());
       ::close(control->fd());
+      ::close(exitPipe[0]);
       runChild(fd, peers, controlEndpoint, childSpec, p);
     }
     outcome.pid = pid;
     if (spec.verbose)
       std::cerr << "[harness] node " << p << " -> pid " << pid << "\n";
   }
+  ::close(exitPipe[1]);
   // The parent's copies of the node sockets must close, or a SIGKILLed
   // node's port would stay "alive" (datagrams buffered by the kernel
   // against the parent's fd, no ICMP refusals for the survivors).
@@ -185,6 +200,7 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
   SteadyClock clock;
   const NetTime deadline = spec.deadlineMs + 5000;  // children stop first
   int live = n;
+  std::vector<bool> reaped(static_cast<std::size_t>(n), false);
   std::string bytes;
   ProcessId from = kNoProcess;
   while (live > 0) {
@@ -194,7 +210,11 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
       for (const NodeOutcome& o : result.nodes)
         if (o.pid > 0) ::kill(o.pid, SIGKILL);
     }
-    control->waitReadable(20);
+    pollfd fds[2] = {{control->fd(), POLLIN, 0}, {exitPipe[0], POLLIN, 0}};
+    ::poll(fds, 2, 20);
+    // Hang-up: every child has closed its write end, so each one is dead
+    // or dying; wait for them instead of polling again.
+    const bool allExited = (fds[1].revents & (POLLHUP | POLLERR)) != 0;
     while (control->tryRecv(&bytes, &from)) {
       ProgressKind kind{};
       std::int32_t arg = 0;
@@ -213,17 +233,19 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
                   << "\n";
       }
     }
-    int status = 0;
-    pid_t reaped;
-    while ((reaped = ::waitpid(-1, &status, WNOHANG)) > 0) {
-      for (NodeOutcome& o : result.nodes)
-        if (o.pid == reaped) {
-          o.waitStatus = status;
-          --live;
-        }
+    for (std::size_t i = 0; i < reaped.size(); ++i) {
+      if (reaped[i]) continue;
+      NodeOutcome& o = result.nodes[i];
+      int status = 0;
+      const pid_t got = ::waitpid(o.pid, &status, allExited ? 0 : WNOHANG);
+      if (got == o.pid) o.waitStatus = status;
+      if (got == o.pid || (got < 0 && errno == ECHILD)) {
+        reaped[i] = true;
+        --live;
+      }
     }
-    if (reaped < 0 && errno == ECHILD) break;
   }
+  ::close(exitPipe[0]);
 
   // Phase 4: collect reports and render the verdict.
   result.observedCrashes = spec.script.numCrashes();

@@ -13,9 +13,11 @@
 //     round's partial broadcast, falls silent, and repeats a tiny `halted`
 //     control datagram; the parent answers with SIGKILL.  Nothing about the
 //     kill is cooperative beyond its placement in the round structure;
-//   * survivors write NodeReport JSON files; the parent reaps every child,
-//     collects the reports, and checks the consensus contract — uniform
-//     agreement, validity, termination — plus the paper's efficiency bound:
+//   * survivors write NodeReport JSON files; the parent reaps every child
+//     (woken when an exit pipe the children hold hangs up, not by a
+//     timer), collects the reports, and checks the consensus contract —
+//     uniform agreement, validity, termination — plus the paper's
+//     efficiency bound:
 //     every observed decision round must be <= Lat(A, f) as computed by the
 //     static analyzer (src/analysis) for f = scripted crashes.  A run that
 //     decides later than the analyzer's worst case means the transport
@@ -89,8 +91,9 @@ LaunchResult launchCluster(const LaunchSpec& spec);
 bool launchSpecFromScenario(const Scenario& scenario, LaunchSpec* out,
                             std::string* error);
 
-/// The analyzer's Lat(A, f) for this entry at `cfg` (byMaxCrashes[f].latest);
-/// kNoRound when f exceeds cfg.t or the analyzer reports non-termination.
+/// The analyzer's Lat(A, f) for this entry at `cfg` (byMaxCrashes[f].latest,
+/// interpreting only the cells with at most f crashes); kNoRound when f
+/// exceeds cfg.t or the analyzer reports non-termination.
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f);
 

@@ -28,6 +28,21 @@ bool parseDecided(std::string_view body, ProcessId* who, Value* value,
   return r.ok() && r.exhausted();
 }
 
+/// Link payload announcing that the sender is done (see node.hpp, Exit).
+std::string frameDone() {
+  std::string out;
+  RecordWriter w(out);
+  w.putU8(static_cast<std::uint8_t>(ChannelKind::kDone));
+  return out;
+}
+
+/// A well-formed DONE: the channel byte and nothing after it.
+bool isDone(std::string_view payload) {
+  RecordReader r(payload);
+  const auto kind = static_cast<ChannelKind>(r.getU8());
+  return r.ok() && r.exhausted() && kind == ChannelKind::kDone;
+}
+
 Round deriveMaxRounds(const NodeOptions& options) {
   if (options.maxRounds >= 1) return options.maxRounds;
   return options.cfg.t + 2;
@@ -74,8 +89,19 @@ void NetNode::broadcastHeartbeat() {
     if (q != options_.self) transport_.trySend(q, frame);
 }
 
+void NetNode::becomeDone(NetTime now) {
+  status_ = Status::kDone;
+  endedAt_ = now;
+  frozen_ = report();
+  const std::string frame = frameDone();
+  for (ProcessId q = 0; q < options_.cfg.n; ++q)
+    if (q != options_.self) link_.send(q, frame);
+  sendControl(ProgressKind::kDone, driver_.roundsCompleted());
+}
+
 NetNode::Status NetNode::step() {
-  if (status_ != Status::kRunning) return status_;
+  if (status_ == Status::kHalted || status_ == Status::kExited)
+    return status_;
   const NetTime now = clock_.nowMs();
 
   // Ingest.  Heartbeats peel off first (they are raw, not link-framed).
@@ -91,10 +117,11 @@ NetNode::Status NetNode::step() {
   const ProcessSet suspected = monitor_.suspected(now);
   urb_.updateSuspected(suspected);
 
-  // Demultiplex link deliveries: URB relays, then round messages.
+  // Demultiplex link deliveries: URB relays, round messages, DONE.
   for (const auto& d : link_.drainDeliveries()) {
     if (urb_.onPayload(d.src, d.payload)) continue;
-    driver_.onPayload(d.src, d.payload);
+    if (driver_.onPayload(d.src, d.payload)) continue;
+    if (isDone(d.payload)) donePeers_.insert(d.src);
   }
 
   driver_.advance(suspected);
@@ -127,34 +154,38 @@ NetNode::Status NetNode::step() {
     peerDecisions_[static_cast<std::size_t>(who)] = value;
   }
 
-  if (monitor_.heartbeatDue(now)) broadcastHeartbeat();
-  link_.pump(now);
+  const ProcessSet everyone = ProcessSet::full(options_.cfg.n);
+  if (status_ == Status::kRunning && driver_.finished() &&
+      everyone.isSubsetOf(decided_ | suspected))
+    becomeDone(now);
 
-  if (driver_.finished()) {
-    bool allAccounted = true;
-    for (ProcessId q = 0; q < options_.cfg.n; ++q)
-      if (!decided_.contains(q) && !suspected.contains(q)) {
-        allAccounted = false;
-        break;
-      }
-    if (allAccounted) {
-      status_ = Status::kDone;
-      endedAt_ = now;
-      sendControl(ProgressKind::kDone, driver_.roundsCompleted());
-    }
-  }
+  if (monitor_.heartbeatDue(now)) broadcastHeartbeat();
+  link_.pump(now);  // after becomeDone, so the DONEs leave before any exit
+
+  if (status_ == Status::kDone &&
+      everyone.isSubsetOf(donePeers_ | suspected |
+                          ProcessSet::single(options_.self)))
+    status_ = Status::kExited;
   return status_;
 }
 
 NodeReport NetNode::run() {
-  while (status_ == Status::kRunning) {
+  const auto serving = [this] {
+    return status_ == Status::kRunning || status_ == Status::kDone;
+  };
+  while (serving()) {
     step();
+    if (!serving()) break;
     if (clock_.nowMs() - startedAt_ > options_.deadlineMs) {
-      timedOut_ = true;
-      endedAt_ = clock_.nowMs();
+      // A done node's report is already frozen; only a running one times
+      // out.
+      if (status_ == Status::kRunning) {
+        timedOut_ = true;
+        endedAt_ = clock_.nowMs();
+      }
       break;
     }
-    if (status_ == Status::kRunning) transport_.waitReadable(1);
+    transport_.waitReadable(1);
   }
 
   if (status_ == Status::kHalted) {
@@ -165,26 +196,13 @@ NodeReport NetNode::run() {
       transport_.waitReadable(20);
     }
     timedOut_ = true;
-  } else if (status_ == Status::kDone) {
-    // Linger: peers may still be retransmitting at us; answer their acks
-    // so the cluster drains instead of timing out retransmissions.
-    const NetTime lingerUntil = clock_.nowMs() + options_.lingerMs;
-    std::string bytes;
-    ProcessId from = kNoProcess;
-    while (clock_.nowMs() < lingerUntil) {
-      const NetTime now = clock_.nowMs();
-      while (transport_.tryRecv(&bytes, &from))
-        if (!monitor_.onDatagram(from, bytes, now))
-          link_.onDatagram(from, bytes, now);
-      link_.drainDeliveries();  // post-done traffic: ack, ignore
-      link_.pump(now);
-      transport_.waitReadable(5);
-    }
   }
   return report();
 }
 
 NodeReport NetNode::report() const {
+  if (frozen_.has_value()) return *frozen_;
+  const NetTime endedAt = endedAt_.value_or(clock_.nowMs());
   NodeReport r;
   r.node = options_.self;
   r.algo = options_.algo;
@@ -199,14 +217,14 @@ NodeReport NetNode::report() const {
   r.halted = status_ == Status::kHalted;
   r.timedOut = timedOut_;
   r.suspectedFinal = const_cast<HeartbeatMonitor&>(monitor_)
-                         .suspected(endedAt_ != 0 ? endedAt_ : startedAt_)
+                         .suspected(endedAt_.value_or(startedAt_))
                          .mask();
   for (const ProcessSet& heard : driver_.heardPerRound())
     r.heardMasks.push_back(heard.mask());
   r.link = link_.stats();
   r.urb = urb_.stats();
   r.fd = monitor_.stats();
-  r.wallMs = (endedAt_ != 0 ? endedAt_ : clock_.nowMs()) - startedAt_;
+  r.wallMs = endedAt - startedAt_;
   return r;
 }
 

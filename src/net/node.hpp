@@ -10,16 +10,34 @@
 //     FakeClock — fully deterministic, no sockets raced.
 //
 //   * run(): the production loop — step() + waitReadable() until the node
-//     is done (or its crash plan halts it, or the deadline passes), then a
-//     short linger so peers still retransmitting against us get their acks.
+//     exits (or its crash plan halts it, or the deadline passes).
 //
 // Termination: nodes must keep executing rounds after deciding (a decided
 // node that went silent would stall every peer's receive guard, since an
 // accurate P never suspects the living).  So every node runs exactly
 // maxRounds rounds; when it decides it urb-broadcasts a DECIDED record, and
-// it exits once it has finished its rounds and urb-delivered a DECIDED from
-// every peer it does not suspect.  URB's uniformity makes the exit safe:
+// it is DONE once it has finished its rounds and urb-delivered a DECIDED
+// from every peer it does not suspect.  URB's uniformity makes that safe:
 // any decision this node saw will be seen by every correct peer.
+//
+// Exit: at the done instant the node freezes its report and sends a
+// one-byte DONE link message (ChannelKind::kDone) to every peer.  It keeps
+// serving as step() does — ingest, ack, relay URB, heartbeat, pump the
+// link — and exits once every peer has announced DONE or is suspected.
+//
+//   * Safe: a peer that announced DONE has finished its rounds and has
+//     delivered every DECIDED it was waiting for, so it needs nothing more
+//     from this node; under an accurate P a suspected peer has crashed.  A
+//     node never falls silent on a live, unfinished peer, which could
+//     otherwise time it out and suspect a correct process.
+//   * Terminates: the link retransmits a DONE until it is acked or its
+//     sender exits, and a sender exits only once every peer is DONE or
+//     suspected.  A DONE can therefore go missing only when its sender left
+//     after the receiver was already done (datagram loss); that receiver
+//     then exits by suspicion within one FD timeout.
+//   * The report describes the done instant: a suspicion raised while the
+//     node waits (say, of a peer that exited first) is not a verdict on
+//     the run and must not read as an accuracy violation.
 //
 // Control plane: if a control endpoint is configured, the node sends tiny
 // unreliable kProgress datagrams (decided / halted / done).  The launch
@@ -59,7 +77,7 @@ struct NodeReport {
   std::int64_t lateDeliveries = 0;
   bool halted = false;
   bool timedOut = false;
-  std::uint64_t suspectedFinal = 0;          ///< ProcessSet mask at exit
+  std::uint64_t suspectedFinal = 0;          ///< ProcessSet mask at done/halt
   std::vector<std::uint64_t> heardMasks;     ///< per round, Lemma 4.1 data
   LinkStats link;
   UrbStats urb;
@@ -81,7 +99,6 @@ struct NodeOptions {
   LinkOptions link;
   HeartbeatOptions heartbeat;
   NetTime deadlineMs = 30000;  ///< run(): hard wall-clock stop (timedOut)
-  NetTime lingerMs = 200;      ///< run(): post-done grace for peers' acks
   Endpoint control;            ///< port 0 = no control plane
 };
 
@@ -90,7 +107,9 @@ class NetNode {
   enum class Status : std::uint8_t {
     kRunning,
     kHalted,  ///< crash plan executed; the process must now fall silent
-    kDone,    ///< rounds finished and every unsuspected peer decided
+    kDone,    ///< rounds finished and every unsuspected peer decided; the
+              ///< report is frozen, the node serves peers until kExited
+    kExited,  ///< done, and every peer announced DONE or is suspected
   };
 
   /// `transport` must already be bound (or adopted) with its peer table
@@ -98,7 +117,7 @@ class NetNode {
   NetNode(UdpTransport& transport, std::unique_ptr<RoundAutomaton> automaton,
           const NodeOptions& options, NetClock& clock);
 
-  /// One event-loop iteration.  Safe to call after kHalted/kDone (no-op
+  /// One event-loop iteration.  Safe to call after kHalted/kExited (no-op
   /// returning the same status) so drivers can loop uniformly.
   Status step();
 
@@ -107,7 +126,8 @@ class NetNode {
   /// harness's SIGKILL, bounded by the deadline.
   NodeReport run();
 
-  /// Snapshot of the report as of now (tests read this mid-run).
+  /// Snapshot of the report as of now (tests read this mid-run); from the
+  /// done instant on, the report frozen then.
   NodeReport report() const;
 
   Status status() const { return status_; }
@@ -119,10 +139,13 @@ class NetNode {
   ProcessSet decidedPeers() const { return decided_; }
   /// Decision value urb-delivered from `q` (kUndecided if none yet).
   Value peerDecision(ProcessId q) const;
+  /// Peers whose DONE this node has received.
+  ProcessSet donePeers() const { return donePeers_; }
 
  private:
   void sendControl(ProgressKind kind, std::int32_t arg);
   void broadcastHeartbeat();
+  void becomeDone(NetTime now);
 
   UdpTransport& transport_;
   NetClock& clock_;
@@ -135,9 +158,11 @@ class NetNode {
   bool decideAnnounced_ = false;
   bool timedOut_ = false;
   ProcessSet decided_;
+  ProcessSet donePeers_;
   std::vector<Value> peerDecisions_;
   NetTime startedAt_ = 0;
-  NetTime endedAt_ = 0;
+  std::optional<NetTime> endedAt_;  ///< done, halt or timeout instant
+  std::optional<NodeReport> frozen_;  ///< the report as of kDone
 };
 
 }  // namespace ssvsp::net

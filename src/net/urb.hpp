@@ -39,6 +39,7 @@ namespace ssvsp::net {
 enum class ChannelKind : std::uint8_t {
   kRound = 1,  ///< RwsFromSpDriver round message
   kUrb = 2,    ///< UniformReliableBroadcast relay
+  kDone = 3,   ///< NetNode exit handshake: this one byte, nothing else
 };
 
 struct UrbStats {

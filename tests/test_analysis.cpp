@@ -2,8 +2,9 @@
 // derived latency degrees reproduce the golden theorem table for every
 // algorithm with a contract, the closed-form fitter recovers the paper's
 // shapes, the structural findings L401-L403 fire exactly where the
-// automata warrant them, and the model checker's latency-bound hook turns
-// an asserted bound into a checkable property.
+// automata warrant them, a crash budget interprets a prefix of the schedule
+// cells without moving the bound it serves, and the model checker's
+// latency-bound hook turns an asserted bound into a checkable property.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,6 +18,7 @@
 #include "consensus/registry.hpp"
 #include "lint/codes.hpp"
 #include "mc/checker.hpp"
+#include "net/harness.hpp"
 
 namespace ssvsp {
 namespace {
@@ -233,6 +235,29 @@ TEST(Analysis, ScheduleCellsAreLegalAndDeduplicated) {
   // The RWS cell space strictly refines the RS one (pending shapes).
   EXPECT_GT(seen.size(),
             enumerateScheduleCells(cfg, RoundModel::kRs).size());
+}
+
+TEST(Analysis, CrashBudgetInterpretsAPrefixAndKeepsTheBound) {
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    const RoundConfig cfg = canonicalAnalysisConfig(entry);
+    const std::vector<FailureScript> all =
+        enumerateScheduleCells(cfg, entry.intendedModel);
+    const AbstractBounds full = interpretAutomaton(entry, cfg);
+    for (int f = 0; f <= cfg.t; ++f) {
+      SCOPED_TRACE(entry.name + " f=" + std::to_string(f));
+      const std::vector<FailureScript> budgeted =
+          enumerateScheduleCells(cfg, entry.intendedModel, f);
+      ASSERT_LE(budgeted.size(), all.size());
+      for (std::size_t i = 0; i < budgeted.size(); ++i) {
+        EXPECT_EQ(budgeted[i].toString(), all[i].toString()) << "cell " << i;
+        EXPECT_LE(budgeted[i].numCrashes(), f) << budgeted[i].toString();
+      }
+      const Round latest =
+          full.byMaxCrashes[static_cast<std::size_t>(f)].latest;
+      EXPECT_EQ(net::analyzerLatBound(entry, cfg, f),
+                latest == 0 ? kNoRound : latest);
+    }
+  }
 }
 
 // --- the model checker's latency-bound hook -------------------------------

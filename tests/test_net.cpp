@@ -11,7 +11,10 @@
 //     HeartbeatHistory judged by the src/fd axiom checkers verbatim;
 //   * a full in-process cluster: n NetNodes round-robined on a FakeClock
 //     reach consensus within the analyzer's Lat(A, f), with and without a
-//     scripted crash;
+//     scripted crash, and exit on the DONE exchange: within one FD timeout
+//     of the last done node, by suspicion when a DONE is lost, and with
+//     the report frozen at the done instant;
+//   * a malformed DONE link message is ignored;
 //   * RwsFromSpDriver keeps the first copy of a duplicate round frame;
 //   * NodeReport JSON round trip (the harness's child-to-parent channel).
 //
@@ -319,18 +322,25 @@ TEST(HeartbeatTest, MistimedSuspicionViolatesAccuracyButDiamondPRecovers) {
       << checkEventualStrongAccuracy(adaptive, pattern, kHorizon).witness;
 }
 
-/// Builds an in-process cluster of NetNodes on one FakeClock and runs
-/// step() round-robin until every non-halted node reports kDone (or the
-/// iteration budget runs out).  Returns one report per node.
-std::vector<NodeReport> runInProcessCluster(const std::string& algo,
-                                            RoundConfig cfg,
-                                            const std::vector<Value>& values,
-                                            const CrashPlan& crash0) {
+/// The FD timeout runInProcessCluster gives its nodes (heartbeat every 5).
+constexpr NetTime kClusterFdTimeoutMs = 60;
+
+/// One in-process cluster run.  Every node starts at t = 0, so a report's
+/// wallMs is the instant its node became done.
+struct ClusterRun {
+  std::vector<NodeReport> reports;  ///< read after one more FD timeout
+  std::vector<NetTime> exitedAt;    ///< per node; -1: never exited
+  std::vector<std::int64_t> suspicionsAtExit;  ///< live, not the report's
+};
+
+/// One NetNode of `algo` per socket of `fleet`, all on `clock`, with a
+/// 5 ms heartbeat and the kClusterFdTimeoutMs timeout; p0 follows `crash0`.
+std::vector<std::unique_ptr<NetNode>> makeCluster(
+    const std::string& algo, RoundConfig cfg, const std::vector<Value>& values,
+    const CrashPlan& crash0,
+    std::vector<std::unique_ptr<UdpTransport>>& fleet, FakeClock& clock) {
   const AlgorithmEntry* entry = findAlgorithm(algo);
   EXPECT_NE(entry, nullptr);
-  auto fleet = boundFleet(cfg.n);
-  FakeClock clock;
-
   std::vector<std::unique_ptr<NetNode>> nodes;
   for (ProcessId p = 0; p < cfg.n; ++p) {
     NodeOptions options;
@@ -340,35 +350,59 @@ std::vector<NodeReport> runInProcessCluster(const std::string& algo,
     options.algo = algo;
     if (p == 0) options.crashPlan = crash0;
     options.heartbeat.periodMs = 5;
-    options.heartbeat.timeoutMs = 60;
+    options.heartbeat.timeoutMs = kClusterFdTimeoutMs;
     nodes.push_back(std::make_unique<NetNode>(
         *fleet[p], entry->factory(p), options, clock));
   }
+  return nodes;
+}
 
+/// Builds an in-process cluster of NetNodes on one FakeClock and runs
+/// step() round-robin until every non-halted node has exited (or the
+/// iteration budget runs out).  Then the clock runs one more FD timeout and
+/// the reports are read.
+ClusterRun runInProcessCluster(const std::string& algo, RoundConfig cfg,
+                               const std::vector<Value>& values,
+                               const CrashPlan& crash0) {
+  auto fleet = boundFleet(cfg.n);
+  FakeClock clock;
+  const auto nodes = makeCluster(algo, cfg, values, crash0, fleet, clock);
+
+  ClusterRun run;
+  run.exitedAt.assign(nodes.size(), -1);
   for (int iter = 0; iter < 5000; ++iter) {
     clock.advance(2);
     bool allSettled = true;
-    for (auto& node : nodes) {
-      const NetNode::Status status = node->step();
-      if (status == NetNode::Status::kRunning) allSettled = false;
+    for (std::size_t p = 0; p < nodes.size(); ++p) {
+      const NetNode::Status status = nodes[p]->step();
+      if (status == NetNode::Status::kExited && run.exitedAt[p] < 0)
+        run.exitedAt[p] = clock.nowMs();
+      if (status == NetNode::Status::kRunning ||
+          status == NetNode::Status::kDone)
+        allSettled = false;
     }
     if (allSettled) break;
   }
 
-  std::vector<NodeReport> reports;
-  for (auto& node : nodes) reports.push_back(node->report());
-  return reports;
+  clock.advance(kClusterFdTimeoutMs + 1);
+  for (auto& node : nodes) {
+    run.reports.push_back(node->report());
+    run.suspicionsAtExit.push_back(node->monitor().stats().suspicions);
+  }
+  return run;
 }
 
 TEST(NetNodeTest, InProcessClusterReachesConsensusWithinLat) {
   const RoundConfig cfg{4, 2};
   const std::vector<Value> values{0, 1, 1, 0};
-  const auto reports =
+  const ClusterRun run =
       runInProcessCluster("FloodSetWS", cfg, values, CrashPlan{});
+  const auto& reports = run.reports;
   const Round bound = analyzerLatBound(*findAlgorithm("FloodSetWS"), cfg, 0);
   ASSERT_NE(bound, kNoRound);
 
   ASSERT_EQ(reports.size(), 4u);
+  NetTime lastDone = 0;
   for (const NodeReport& r : reports) {
     EXPECT_FALSE(r.halted);
     ASSERT_TRUE(r.decided) << "p" << r.node << " undecided";
@@ -379,6 +413,16 @@ TEST(NetNodeTest, InProcessClusterReachesConsensusWithinLat) {
     EXPECT_LE(r.decisionRound, bound) << "p" << r.node << " beyond Lat(A, 0)";
     EXPECT_EQ(r.suspectedFinal, 0u) << "failure-free run suspected someone";
     EXPECT_EQ(r.roundsCompleted, cfg.t + 2);
+    lastDone = std::max(lastDone, r.wallMs);
+  }
+  // The DONE exchange, not a suspicion of a finished peer, ends the run.
+  for (std::size_t p = 0; p < reports.size(); ++p) {
+    ASSERT_GE(run.exitedAt[p], 0) << "p" << p << " never exited";
+    EXPECT_LT(run.exitedAt[p] - lastDone, kClusterFdTimeoutMs)
+        << "p" << p << " exited at " << run.exitedAt[p]
+        << ", the last node was done at " << lastDone;
+    EXPECT_EQ(run.suspicionsAtExit[p], 0) << "p" << p;
+    EXPECT_EQ(reports[p].fd.suspicions, 0) << "p" << p;
   }
 }
 
@@ -388,7 +432,8 @@ TEST(NetNodeTest, ScriptedCrashSurvivorsAgreeWithinLatAndSuspectOnlyIt) {
   CrashPlan crash0;
   crash0.round = 1;
   crash0.sendTo = ProcessSet{};  // final broadcast reaches nobody
-  const auto reports = runInProcessCluster("FloodSetWS", cfg, values, crash0);
+  const ClusterRun run = runInProcessCluster("FloodSetWS", cfg, values, crash0);
+  const auto& reports = run.reports;
   const Round bound = analyzerLatBound(*findAlgorithm("FloodSetWS"), cfg, 1);
   ASSERT_NE(bound, kNoRound);
 
@@ -397,13 +442,122 @@ TEST(NetNodeTest, ScriptedCrashSurvivorsAgreeWithinLatAndSuspectOnlyIt) {
   EXPECT_FALSE(reports[0].decided);
   for (std::size_t p = 1; p < reports.size(); ++p) {
     const NodeReport& r = reports[p];
+    EXPECT_GE(run.exitedAt[p], 0) << "survivor p" << p << " never exited";
     ASSERT_TRUE(r.decided) << "survivor p" << r.node << " undecided";
     EXPECT_EQ(r.decision, reports[1].decision) << "agreement violated";
     EXPECT_LE(r.decisionRound, bound) << "p" << r.node << " beyond Lat(A, 1)";
-    // Completeness caught the crash; accuracy spared the survivors.
+    // Completeness caught the crash; accuracy spared the survivors, also
+    // one FD timeout after every survivor had exited.
     EXPECT_EQ(r.suspectedFinal, ProcessSet::single(0).mask())
         << "p" << r.node << " suspected " << r.suspectedFinal;
+    EXPECT_EQ(r.fd.suspicions, 1) << "p" << r.node;
   }
+}
+
+TEST(NetNodeTest, LostDoneEndsTheWaitBySuspicionAndLeavesTheReportAlone) {
+  // p1 exits after p0's DONE reaches it, but p1's own DONE to p0 is lost
+  // and p1 is gone before the link retransmits it.  p0 must still exit,
+  // by suspecting p1, and its report must not show that suspicion.
+  const RoundConfig cfg{2, 1};
+  auto fleet = boundFleet(cfg.n);
+  FakeClock clock;
+  const auto nodes =
+      makeCluster("FloodSetWS", cfg, {0, 1}, CrashPlan{}, fleet, clock);
+  NetNode& p0 = *nodes[0];
+  NetNode& p1 = *nodes[1];
+
+  // Round-robin until p0 is done; then only p1 runs, until it exits.
+  for (int iter = 0; iter < 1000 && p0.status() == NetNode::Status::kRunning;
+       ++iter) {
+    clock.advance(2);
+    p0.step();
+    if (p0.status() == NetNode::Status::kRunning) p1.step();
+  }
+  ASSERT_EQ(p0.status(), NetNode::Status::kDone);
+  for (int iter = 0; iter < 1000 && p1.status() != NetNode::Status::kExited;
+       ++iter) {
+    clock.advance(2);
+    p1.step();
+  }
+  ASSERT_EQ(p1.status(), NetNode::Status::kExited);
+  EXPECT_EQ(p1.monitor().stats().suspicions, 0);
+
+  // The network loses everything p1 sent since p0 last stepped.
+  std::string bytes;
+  ProcessId from = kNoProcess;
+  while (fleet[0]->tryRecv(&bytes, &from)) {
+  }
+
+  const NodeReport atDone = p0.report();
+  for (int iter = 0; iter < 1000 && p0.step() != NetNode::Status::kExited;
+       ++iter)
+    clock.advance(2);
+  ASSERT_EQ(p0.status(), NetNode::Status::kExited);
+  // p0 last heard p1 within a heartbeat period of its done instant.
+  EXPECT_LE(clock.nowMs() - atDone.wallMs, kClusterFdTimeoutMs + 2 * 5);
+  EXPECT_FALSE(p0.donePeers().contains(1));
+  EXPECT_EQ(p0.monitor().stats().suspicions, 1);  // the wait ended by it
+
+  const NodeReport report = p0.report();
+  EXPECT_EQ(report.suspectedFinal, 0u);
+  EXPECT_EQ(report.fd.suspicions, 0);
+  EXPECT_EQ(report.wallMs, atDone.wallMs);
+  EXPECT_TRUE(report.decided);
+}
+
+TEST(NetNodeTest, NodeEndedInItsFirstMillisecondReportsZeroWall) {
+  // A one-node cluster ends in its first step at t = 0: done (and, with no
+  // peers, exited at once), or halted by its crash plan.
+  CrashPlan halt;
+  halt.round = 1;
+  for (const CrashPlan& plan : {CrashPlan{}, halt}) {
+    const RoundConfig cfg{1, 0};
+    auto fleet = boundFleet(cfg.n);
+    FakeClock clock;
+    NodeOptions options;
+    options.self = 0;
+    options.cfg = cfg;
+    options.initial = 1;
+    options.algo = "FloodSet";
+    options.crashPlan = plan;
+    NetNode node(*fleet[0], findAlgorithm("FloodSet")->factory(0), options,
+                 clock);
+    const NetNode::Status ended = node.step();
+    ASSERT_EQ(ended, plan.round == kNoRound ? NetNode::Status::kExited
+                                            : NetNode::Status::kHalted);
+    clock.advance(500);
+    const NodeReport report = node.report();
+    EXPECT_EQ(report.decided, plan.round == kNoRound);
+    EXPECT_EQ(report.wallMs, 0) << "halted: " << report.halted;
+  }
+}
+
+TEST(NetNodeTest, MalformedDoneIsIgnored) {
+  const RoundConfig cfg{2, 1};
+  auto fleet = boundFleet(cfg.n);
+  FakeClock clock;
+  NodeOptions options;
+  options.self = 0;
+  options.cfg = cfg;
+  NetNode node(*fleet[0], findAlgorithm("FloodSetWS")->factory(0), options,
+               clock);
+  PerfectLink peer(*fleet[1], 1, cfg.n);
+
+  const auto deliver = [&](const std::string& payload) {
+    peer.send(0, payload);
+    peer.pump(clock.nowMs());
+    ASSERT_NO_THROW(node.step());
+  };
+  std::string trailing;
+  RecordWriter w(trailing);
+  w.putU8(static_cast<std::uint8_t>(ChannelKind::kDone));
+  w.putU8(0);
+  deliver(trailing);
+  deliver("");
+  EXPECT_FALSE(node.donePeers().contains(1));
+
+  deliver(std::string(1, static_cast<char>(ChannelKind::kDone)));
+  EXPECT_TRUE(node.donePeers().contains(1));
 }
 
 /// What p0's driver saw after p1's round-1 frame arrived `copies` times:
