@@ -82,9 +82,6 @@ std::string CampaignManifest::toJsonString() const {
   w.endObject();
   w.kv("value_domain", std::int64_t{valueDomain});
   w.kv("horizon_slack", std::int64_t{horizonSlack});
-  // Legacy bool kept so pre-POR readers still parse new manifests; the
-  // string key is authoritative.
-  w.kv("symmetry_reduction", reduction != Reduction::kNone);
   w.kv("reduction", std::string(toString(reduction)));
   w.kv("symmetry_fixed_ids", std::int64_t{symmetryFixedIds});
   w.kv("decision_fix_round",
@@ -128,7 +125,6 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
   CampaignManifest m;
   std::string modelName;
   const JsonValue* enumeration = doc->find("enumeration");
-  bool symmetry = false;
   bool ok = readJsonString(doc->find("algorithm"), &m.algorithm) &&
             readJsonInt(doc->find("n"), &m.n) &&
             readJsonInt(doc->find("t"), &m.t) &&
@@ -142,7 +138,6 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
                         &m.enumeration.maxScripts) &&
             readJsonInt(doc->find("value_domain"), &m.valueDomain) &&
             readJsonInt(doc->find("horizon_slack"), &m.horizonSlack) &&
-            readJsonBool(doc->find("symmetry_reduction"), &symmetry) &&
             readJsonInt(doc->find("symmetry_fixed_ids"),
                         &m.symmetryFixedIds) &&
             readJsonInt(doc->find("max_violations"), &m.maxViolations) &&
@@ -159,48 +154,28 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
     return std::nullopt;
   }
   m.model = *model;
-  m.reduction = symmetry ? Reduction::kSymmetry : Reduction::kNone;
-  // Manifests written since the POR PR carry the authoritative "reduction"
-  // string; older ones only have the legacy bool mapped above.
-  if (const JsonValue* red = doc->find("reduction")) {
-    std::string name;
-    std::optional<Reduction> parsed;
-    if (readJsonString(red, &name)) parsed = reductionFromString(name);
-    if (!parsed) {
-      setError(error, "manifest: bad reduction");
-      return std::nullopt;
-    }
-    m.reduction = *parsed;
+  std::string reductionName;
+  std::optional<Reduction> reduction;
+  if (readJsonString(doc->find("reduction"), &reductionName))
+    reduction = reductionFromString(reductionName);
+  if (!reduction) {
+    setError(error, "manifest: bad reduction");
+    return std::nullopt;
   }
-  // POR fields are optional (absent in pre-POR manifests -> defaults).
-  if (const JsonValue* fix = doc->find("decision_fix_round")) {
-    int value = 0;
-    if (!readJsonInt(fix, &value)) {
-      setError(error, "manifest: bad decision_fix_round");
-      return std::nullopt;
-    }
-    m.decisionFixRound = value < 0 ? kNoRound : value;
+  m.reduction = *reduction;
+  int fixRound = 0;
+  std::int64_t readIdsMask = 0;
+  if (!readJsonInt(doc->find("decision_fix_round"), &fixRound) ||
+      !readJsonInt(doc->find("por_replay_every"), &m.porReplayEvery) ||
+      !readJsonBool(doc->find("por_reads_all_senders"),
+                    &m.porReadsAllSenders) ||
+      !readJsonI64(doc->find("por_read_ids_mask"), &readIdsMask) ||
+      readIdsMask < 0) {
+    setError(error, "manifest: bad POR fields");
+    return std::nullopt;
   }
-  if (const JsonValue* every = doc->find("por_replay_every")) {
-    if (!readJsonInt(every, &m.porReplayEvery)) {
-      setError(error, "manifest: bad por_replay_every");
-      return std::nullopt;
-    }
-  }
-  if (const JsonValue* reads = doc->find("por_reads_all_senders")) {
-    if (!readJsonBool(reads, &m.porReadsAllSenders)) {
-      setError(error, "manifest: bad por_reads_all_senders");
-      return std::nullopt;
-    }
-  }
-  if (const JsonValue* mask = doc->find("por_read_ids_mask")) {
-    std::int64_t value = 0;
-    if (!readJsonI64(mask, &value) || value < 0) {
-      setError(error, "manifest: bad por_read_ids_mask");
-      return std::nullopt;
-    }
-    m.porReadIdsMask = static_cast<std::uint64_t>(value);
-  }
+  m.decisionFixRound = fixRound < 0 ? kNoRound : fixRound;
+  m.porReadIdsMask = static_cast<std::uint64_t>(readIdsMask);
   for (const JsonValue& lag : lags->items) {
     int value = 0;
     if (!readJsonInt(&lag, &value)) {

@@ -22,11 +22,7 @@ namespace {
 // Log layout: 8-byte magic, then records.  Record frame:
 //   u32 bodyLen | body | u64 fnv1a64(body)
 // body = u8 type | type-specific payload (RecordWriter encoding).
-// Fresh logs get the v2 magic; v1 logs (legacy string keys in kRecSummary
-// records) stay readable and appendable — see the version note in store.hpp.
-constexpr char kMagicV1[8] = {'S', 'S', 'V', 'S', 'P', 'M', 'L', '1'};
 constexpr char kMagicV2[8] = {'S', 'S', 'V', 'S', 'P', 'M', 'L', '2'};
-constexpr std::uint8_t kRecSummary = 1;    ///< v1: legacy string key
 constexpr std::uint8_t kRecFooter = 2;
 constexpr std::uint8_t kRecSummaryV2 = 3;  ///< packed MemoKey words
 
@@ -98,10 +94,8 @@ std::unique_ptr<MemoStore> MemoStore::open(const std::string& path,
   const std::string_view bytes(static_cast<const char*>(map), size);
   bool corrupt = false;
   std::size_t good = 0;  ///< offset just past the last intact record
-  if (bytes.substr(0, sizeof(kMagicV1)) !=
-          std::string_view(kMagicV1, sizeof(kMagicV1)) &&
-      bytes.substr(0, sizeof(kMagicV2)) !=
-          std::string_view(kMagicV2, sizeof(kMagicV2))) {
+  if (bytes.substr(0, sizeof(kMagicV2)) !=
+      std::string_view(kMagicV2, sizeof(kMagicV2))) {
     corrupt = true;
     setError(error, "memo store '" + path + "': bad magic");
   } else {
@@ -117,7 +111,7 @@ std::unique_ptr<MemoStore> MemoStore::open(const std::string& path,
       if (!probe.ok() || checksum != fnv1a64(body)) break;  // torn tail
       RecordReader rec(body);
       const std::uint8_t type = rec.getU8();
-      if (type == kRecSummary || type == kRecSummaryV2) {
+      if (type == kRecSummaryV2) {
         const std::string_view keyBytes = rec.getBytes();
         const std::uint32_t writer = rec.getU32();
         RunSummary summary;
@@ -125,10 +119,7 @@ std::unique_ptr<MemoStore> MemoStore::open(const std::string& path,
         summary.consensusOk = rec.getU8() != 0;
         if (!rec.ok() || !rec.exhausted()) break;  // torn tail
         MemoKey key;
-        const bool keyOk = type == kRecSummaryV2
-                               ? MemoKey::fromBytes(keyBytes, &key)
-                               : memoKeyFromV1Bytes(keyBytes, &key);
-        if (!keyOk) {
+        if (!MemoKey::fromBytes(keyBytes, &key)) {
           // The frame checksum verified, so this is not a torn write: the
           // record is well-formed bytes holding a malformed key.  Like a
           // footer-count mismatch, that is damage we must not repair away.

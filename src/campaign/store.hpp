@@ -24,14 +24,9 @@
 //     the tail batch, never the store.  Call open() only while no other
 //     process is appending (the orchestrator opens before forking).
 //
-// Store versions: fresh logs carry the "SSVSPML2" magic and summary
-// records hold the packed MemoKey words directly (kRecSummaryV2).  open()
-// also accepts "SSVSPML1" logs, whose summaries carry the legacy string
-// key encoding; those are converted on replay via memoKeyFromV1Bytes —
-// sound because the v1 tuple order and the v2 word order agree, so both
-// canonicalizers pick the same orbit representative.  Appends to an old
-// log always use v2 records (the replay loop accepts both record types
-// under either magic), so a warm v1 store keeps working without rewrite.
+// Store version: logs carry the "SSVSPML2" magic and summary records hold
+// the packed MemoKey words directly (kRecSummaryV2).  open() refuses any
+// other magic as a bad header and leaves the file untouched.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +112,7 @@ struct CompactStats {
 /// one header, every distinct (key, summary) once (sorted by key, so the
 /// output is byte-deterministic), one fsync'd footer.  Duplicate keys —
 /// the same orbit discovered by several shards or writers — collapse to
-/// one record; v1 logs come out upgraded to v2.  The rewrite goes through
+/// one record.  The rewrite goes through
 /// a temp file + fsync + rename, so a crash mid-compaction leaves the old
 /// log untouched.
 ///

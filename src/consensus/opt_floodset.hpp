@@ -29,9 +29,6 @@ class COptFloodSet : public FloodSet {
   void transition(
       const std::vector<std::optional<Payload>>& received) override;
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<COptFloodSet>(*this);
-  }
   // Stateless beyond the base; certify the inherited snapshot layout.
   const std::type_info* stateBytesType() const override {
     return &typeid(COptFloodSet);
@@ -47,9 +44,6 @@ class FOptFloodSet : public FloodSet {
   void transition(
       const std::vector<std::optional<Payload>>& received) override;
   std::string describeState() const override;
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<FOptFloodSet>(*this);
-  }
   // decided_/decidedEarly_ vary per round: this override is load-bearing —
   // inheriting the base pod would silently drop them on restore.
   std::size_t stateBytes(std::byte* out) const override {

@@ -27,7 +27,8 @@ RwsEmulator::RwsEmulator(std::unique_ptr<RoundAutomaton> inner,
     : inner_(std::move(inner)),
       cfg_(cfg),
       initial_(initial),
-      maxRounds_(maxRounds) {
+      maxRounds_(maxRounds),
+      buffer_(cfg.n, maxRounds) {
   SSVSP_CHECK(inner_ != nullptr);
   SSVSP_CHECK(maxRounds >= 1);
 }
@@ -41,26 +42,21 @@ void RwsEmulator::start(ProcessId self, int n) {
 std::optional<Value> RwsEmulator::output() const { return inner_->decision(); }
 
 void RwsEmulator::onStep(StepContext& ctx) {
-  // Stash arrivals.  Per-sender FIFO: the executor delivers in send order
-  // and each sender emits one message per (round, destination), so keying
-  // by round keeps the queues ordered.
+  // Stash arrivals.  The executor is FIFO and exactly-once and each sender
+  // emits one message per (round, destination), so anything but a new
+  // message is a simulator bug.
   for (const Envelope& e : ctx.received()) {
     PayloadReader r(e.payload);
     const Round round = r.getInt();
-    const bool hasBody = r.getBool();
-    Payload body;
-    while (!r.exhausted()) body.push_back(r.getInt());
-    auto& slots = buffered_[round];
-    if (slots.empty())
-      slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-    // Store the wire message; a bodiless (null) message is represented by an
-    // empty marker so the guard can distinguish "heard" from "silent".
-    PayloadWriter stored;
-    stored.putBool(hasBody);
-    for (std::int32_t word : body) stored.putInt(word);
-    SSVSP_CHECK_MSG(!slots[static_cast<std::size_t>(e.src)].has_value(),
-                    "duplicate round message from p" << e.src);
-    slots[static_cast<std::size_t>(e.src)] = std::move(stored).take();
+    std::optional<Payload> body;
+    if (r.getBool()) {
+      body.emplace();
+      while (!r.exhausted()) body->push_back(r.getInt());
+    }
+    const auto stored = buffer_.store(round, e.src, std::move(body));
+    SSVSP_CHECK_MSG(stored == RoundBuffer::Stored::kNew,
+                    "duplicate or out-of-range round-"
+                        << round << " message from p" << e.src);
   }
 
   if (roundsCompleted_ >= maxRounds_) return;
@@ -73,54 +69,12 @@ void RwsEmulator::onStep(StepContext& ctx) {
     return;
   }
 
-  // Receive guard: for every peer, a consumable message or a suspicion.
-  // Consumable = the oldest buffered wire message from that peer (FIFO), of
-  // any round <= the current one (late pendings surface here).
-  auto oldestFor = [&](ProcessId q) -> std::optional<Round> {
-    for (const auto& [r, slots] : buffered_) {
-      if (r > round) break;  // future-round messages wait their turn
-      if (slots[static_cast<std::size_t>(q)].has_value()) return r;
-    }
-    return std::nullopt;
-  };
+  // Receive guard: for every peer, a consumable message (late pendings
+  // surface here) or a suspicion; otherwise keep waiting (null step).
+  if (!buffer_.ready(round, ctx.suspected())) return;
 
-  const ProcessSet suspected = ctx.suspected();
-  for (ProcessId q = 0; q < cfg_.n; ++q) {
-    if (oldestFor(q).has_value()) continue;
-    if (suspected.contains(q)) continue;
-    return;  // keep waiting (null step)
-  }
-
-  // Consume: one message per sender, oldest first.
-  std::vector<std::optional<Payload>> received(
-      static_cast<std::size_t>(cfg_.n));
-  ProcessSet heard;
-  for (ProcessId q = 0; q < cfg_.n; ++q) {
-    const auto src = oldestFor(q);
-    if (!src.has_value()) continue;
-    auto& slot = buffered_[*src][static_cast<std::size_t>(q)];
-    PayloadReader r(*slot);
-    const bool hasBody = r.getBool();
-    if (hasBody) {
-      Payload body;
-      while (!r.exhausted()) body.push_back(r.getInt());
-      received[static_cast<std::size_t>(q)] = std::move(body);
-    }
-    slot.reset();
-    heard.insert(q);
-  }
-  // Drop exhausted round buckets.
-  while (!buffered_.empty()) {
-    auto it = buffered_.begin();
-    bool empty = true;
-    for (const auto& s : it->second)
-      if (s.has_value()) empty = false;
-    if (!empty || it->first > round) break;
-    buffered_.erase(it);
-  }
-
-  heardPerRound_.push_back(heard);
-  inner_->transition(received);
+  heardPerRound_.push_back(buffer_.consume(round));
+  inner_->transition(buffer_.received());
   ++roundsCompleted_;
   nextDst_ = 0;
 }

@@ -11,14 +11,15 @@
 // still guarantees weak round synchrony: a sender whose round-r message goes
 // pending towards a receiver that finishes round r crashes by the end of its
 // own round r+1.  checkWeakRoundSynchrony() verifies that operationally on
-// finished executions.
+// finished executions.  The receive rule itself is RoundBuffer
+// (emul/round_buffer.hpp), which the real-transport driver runs too.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "emul/round_buffer.hpp"
 #include "rounds/round_automaton.hpp"
 #include "runtime/automaton.hpp"
 #include "runtime/executor.hpp"
@@ -44,8 +45,6 @@ class RwsEmulator : public Automaton {
   }
 
  private:
-  void finishRound(ProcessSet heard);
-
   std::unique_ptr<RoundAutomaton> inner_;
   RoundConfig cfg_;
   Value initial_;
@@ -54,8 +53,7 @@ class RwsEmulator : public Automaton {
   ProcessId self_ = kNoProcess;
   Round roundsCompleted_ = 0;
   ProcessId nextDst_ = 0;  ///< next destination in the current send phase
-  /// Messages buffered by (round, sender); consumed FIFO one-per-sender.
-  std::map<Round, std::vector<std::optional<Payload>>> buffered_;
+  RoundBuffer buffer_;     ///< the receive guard
   std::vector<ProcessSet> heardPerRound_;
 };
 

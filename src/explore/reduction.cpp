@@ -265,74 +265,6 @@ const MemoKey& PairCanonicalizer::key(const std::vector<Value>& config) {
   return key_;
 }
 
-bool memoKeyFromV1Bytes(std::string_view bytes, MemoKey* out) {
-  const auto readI64 = [&bytes](std::size_t off) {
-    std::int64_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof(v));
-    return v;
-  };
-  if (bytes.size() < 16 || bytes.size() % 4 != 0) return false;
-  const std::int64_t crashCount = readI64(0);
-  const std::int64_t pendingCount = readI64(8);
-  if (crashCount < 0 || crashCount > kMaxProcs || pendingCount < 0 ||
-      pendingCount > 4096)
-    return false;
-  const std::size_t scriptBytes =
-      16 + static_cast<std::size_t>(crashCount) * 24 +
-      static_cast<std::size_t>(pendingCount) * 32;
-  if (bytes.size() < scriptBytes) return false;
-  const std::size_t n = (bytes.size() - scriptBytes) / 4;
-  if (n < 1 || n > 48 || scriptBytes + n * 4 != bytes.size()) return false;
-
-  const std::size_t pendingWords = (static_cast<std::size_t>(pendingCount) + 1) / 2;
-  const std::size_t configWords = (n + 7) / 8;
-  const std::size_t used =
-      1 + static_cast<std::size_t>(crashCount) + pendingWords + configWords;
-  if (used > MemoKey::kMaxWords) return false;
-
-  out->used = static_cast<std::uint32_t>(used);
-  out->words.fill(0);
-  out->words[0] = (std::uint64_t{2} << 56) |
-                  (static_cast<std::uint64_t>(n) << 48) |
-                  (static_cast<std::uint64_t>(crashCount) << 32) |
-                  static_cast<std::uint64_t>(pendingCount);
-  std::size_t off = 16;
-  std::size_t w = 1;
-  for (std::int64_t i = 0; i < crashCount; ++i, off += 24) {
-    const std::int64_t p = readI64(off);
-    const std::int64_t round = readI64(off + 8);
-    const auto mask = static_cast<std::uint64_t>(readI64(off + 16));
-    if (p < 0 || p >= 64 || round < 0 || round >= 1024 ||
-        mask >= (std::uint64_t{1} << 48))
-      return false;
-    out->words[w++] = packCrashWord(p, round, mask);
-  }
-  for (std::int64_t i = 0; i < pendingCount; ++i, off += 32) {
-    const std::int64_t src = readI64(off);
-    const std::int64_t dst = readI64(off + 8);
-    const std::int64_t round = readI64(off + 16);
-    const std::int64_t arrival = readI64(off + 24);
-    if (src < 0 || src >= 64 || dst < 0 || dst >= 64 || round < 0 ||
-        round >= 1024 ||
-        (arrival != kNoRound && (arrival < 0 || arrival >= 1023)))
-      return false;
-    const std::uint64_t half = packPendingHalf(src, dst, round, arrival);
-    if (i % 2 == 0)
-      out->words[w] = half << 32;
-    else
-      out->words[w++] |= half;
-  }
-  if (pendingCount % 2 != 0) ++w;
-  for (std::size_t q = 0; q < n; ++q, off += 4) {
-    std::int32_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof(v));
-    if (v < 0 || v > 0xff) return false;
-    out->words[w + (q >> 3)] |= static_cast<std::uint64_t>(v)
-                                << ((7 - (q & 7)) * 8);
-  }
-  return true;
-}
-
 void SweepRunStats::add(const SweepRunStats& o) {
   runsRequested += o.runsRequested;
   runsFromMemo += o.runsFromMemo;

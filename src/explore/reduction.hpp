@@ -166,13 +166,6 @@ std::uint64_t packCrashWord(std::int64_t p, std::int64_t round,
 std::uint32_t packPendingHalf(std::int64_t src, std::int64_t dst,
                               std::int64_t round, std::int64_t arrival);
 
-/// Converts a v1 (PR 6..8) on-disk memo key — the raw int64 script stream
-/// followed by 4-byte config values, see DESIGN.md §15 — into the packed
-/// form.  Returns false on a malformed buffer.  Sound because the v1 tuple
-/// stream and the packed words order candidates identically, so both
-/// versions canonicalize every orbit to the SAME representative.
-bool memoKeyFromV1Bytes(std::string_view bytes, MemoKey* out);
-
 /// Thread-safe canonical-key -> RunSummary store, shared by every worker of
 /// a sweep.  Mutex-sharded by key hash; values are pure functions of the
 /// key (class invariants of the orbit), so the first-writer race between
@@ -219,9 +212,8 @@ class RunMemo {
 /// crash prefix first (a candidate losing there is rejected without its
 /// pending words ever being read).  The per-field packings are
 /// order-preserving, so the argmin coset — and hence the canonical
-/// representative — is IDENTICAL to what the v1 tuple-stream comparison
-/// chose, which is what keeps v1 on-disk stores convertible (see
-/// memoKeyFromV1Bytes).
+/// representative — is IDENTICAL to what a field-by-field tuple comparison
+/// would choose.
 class PairCanonicalizer {
  public:
   explicit PairCanonicalizer(const SymmetryGroup& group) : group_(group) {}

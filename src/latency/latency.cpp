@@ -7,12 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "explore/parallel_sweep.hpp"
 #include "explore/reduction.hpp"
 #include "indep/independence.hpp"
-#include "lint/lint.hpp"
+#include "mc/sweep.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
 #include "rounds/adversary.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -80,43 +78,25 @@ std::optional<LatencyProfile> LatencyProfile::fromJson(const JsonValue& doc,
 
 namespace {
 
-/// Read-only context shared by every shard of one profile.  The factory
-/// must be callable concurrently (see rounds/round_automaton.hpp).
-struct LatContext {
-  const RoundAutomatonFactory& factory;
-  const RoundConfig& cfg;
-  RoundModel model;
-  std::vector<std::vector<Value>> configs;
-  RoundEngineOptions engineOpt;
-};
-
 /// One shard of the latency sweep.  All aggregates are per-config minima
 /// and per-crash-count maxima (with kNoRound = infinity), so merging two
 /// shards is the same elementwise min/max regardless of how the stream was
 /// split — the profile is thread-count-invariant.
 class LatShard : public SweepShard {
  public:
-  LatShard(const LatContext& ctx, RunExecutor* executor)
-      : ctx_(ctx),
-        executor_(executor),
-        minPerConfig_(ctx.configs.size(), kNoRound) {}
+  LatShard(std::size_t numConfigs, RunExecutor* executor)
+      : executor_(executor), minPerConfig_(numConfigs, kNoRound) {}
 
   void visit(const FailureScript& script, std::int64_t scriptIndex) override {
     const int crashes = script.numCrashes();
-    for (std::size_t ci = 0; ci < ctx_.configs.size(); ++ci) {
+    for (std::size_t ci = 0; ci < minPerConfig_.size(); ++ci) {
       ++runsExecuted_;
       const Round lr = executor_->run(script, scriptIndex, ci).latency;
 
       Round& cmin = minPerConfig_[ci];
       if (lr != kNoRound && (cmin == kNoRound || lr < cmin)) cmin = lr;
 
-      auto [it, inserted] = worstByExactCrashes_.try_emplace(crashes, lr);
-      if (!inserted) {
-        if (lr == kNoRound || it->second == kNoRound)
-          it->second = kNoRound;
-        else
-          it->second = std::max(it->second, lr);
-      }
+      foldWorst(worstByExactCrashes_, crashes, lr);
     }
   }
 
@@ -128,15 +108,8 @@ class LatShard : public SweepShard {
       Round& cmin = minPerConfig_[ci];
       if (omin != kNoRound && (cmin == kNoRound || omin < cmin)) cmin = omin;
     }
-    for (const auto& [crashes, lr] : other.worstByExactCrashes_) {
-      auto [it, inserted] = worstByExactCrashes_.try_emplace(crashes, lr);
-      if (!inserted) {
-        if (lr == kNoRound || it->second == kNoRound)
-          it->second = kNoRound;
-        else
-          it->second = std::max(it->second, lr);
-      }
-    }
+    for (const auto& [crashes, lr] : other.worstByExactCrashes_)
+      foldWorst(worstByExactCrashes_, crashes, lr);
   }
 
   /// Folds the accumulated minima/maxima into the profile's degrees.
@@ -171,7 +144,6 @@ class LatShard : public SweepShard {
   }
 
  private:
-  const LatContext& ctx_;
   RunExecutor* executor_;  ///< the owning worker's arena; visit()-only
   std::int64_t runsExecuted_ = 0;
   /// lat(A, C) per configuration index; latencies here are "min over runs",
@@ -214,101 +186,33 @@ LatencyOptions canonicalLatencyOptions(const AlgorithmEntry& entry,
 LatencyProfile measureLatency(const RoundAutomatonFactory& factory,
                               const RoundConfig& cfg, RoundModel model,
                               const LatencyOptions& options) {
-  // Same preflight contract as modelCheckConsensus: reject inadmissible
-  // specs with structured diagnostics before any worker spawns.
-  preflightSweep(cfg, model, options);
+  const SweepContext ctx(factory, cfg, model, options);
 
-  LatContext ctx{factory, cfg, model,
-                 allInitialConfigs(cfg.n, options.valueDomain),
-                 RoundEngineOptions{}};
-  ctx.engineOpt.horizon = options.enumeration.horizon + options.horizonSlack;
-  ctx.engineOpt.stopWhenAllDecided = true;
-
-  ScriptStream stream;
-  if (options.exhaustive) {
-    stream = [&](const std::function<bool(const FailureScript&)>& fn) {
-      forEachScript(cfg, model, options.enumeration, fn);
-    };
-  } else {
-    // Sampling mode: the script list is drawn up front (serially, from the
-    // spec's seed) and then swept like any other stream, so the profile is
-    // a function of (seed, samples) alone — not of the thread count.
+  // Sampling mode: the script list is drawn up front (serially, from the
+  // spec's seed) and then swept like any other stream, so the profile is a
+  // function of (seed, samples) alone — not of the thread count.
+  std::vector<FailureScript> sampled;
+  if (!options.exhaustive) {
     Rng rng(options.seed);
     ScriptSampler sampler(cfg, model, options.enumeration.horizon);
     // Always include the designed corner cases the paper's arguments use.
-    auto scripts = std::make_shared<std::vector<FailureScript>>();
-    scripts->push_back(noFailures());
+    sampled.push_back(noFailures());
     for (int k = 1; k <= cfg.t; ++k)
-      scripts->push_back(initialCrashes(cfg.n, k));
+      sampled.push_back(initialCrashes(cfg.n, k));
     for (int i = 0; i < options.samples; ++i)
-      scripts->push_back(sampler.sample(rng));
-    stream = [scripts](const std::function<bool(const FailureScript&)>& fn) {
-      for (const FailureScript& script : *scripts)
-        if (!fn(script)) return;
-    };
+      sampled.push_back(sampler.sample(rng));
   }
-
-  // One execution arena per worker, exactly like modelCheckConsensus.
-  std::unique_ptr<SymmetryGroup> group;
-  std::unique_ptr<RunMemo> memo;
-  std::optional<indep::PorSpec> por;
-  if (options.reduction != Reduction::kNone) {
-    group = std::make_unique<SymmetryGroup>(cfg.n, options.symmetryFixedIds);
-    memo = std::make_unique<RunMemo>();
-    if (options.reduction == Reduction::kSymmetryPor)
-      por = porSpecFromExplore(options);
-  }
-  std::vector<std::unique_ptr<RunExecutor>> arenas;
-  for (int w = 0; w < resolveThreads(options.threads); ++w)
-    arenas.push_back(std::make_unique<RunExecutor>(
-        cfg, model, factory, ctx.configs, ctx.engineOpt, group.get(),
-        memo.get(), por.has_value() ? &*por : nullptr));
-
-  obs::ProgressMeter::Options progressOpt;
-  progressOpt.intervalSec = options.progressIntervalSec >= 0
-                                ? options.progressIntervalSec
-                                : obs::progressIntervalFromEnv();
-  progressOpt.label = "latency";
-  if (progressOpt.intervalSec > 0) {
-    // Totals count the SLICE the sweep executes (see ExploreSpec::shard),
-    // so shard workers report honest ETAs.
-    if (options.exhaustive) {
-      progressOpt.totalScripts = options.shard.countWithin(
-          countScripts(cfg, model, options.enumeration));
-    } else {
-      progressOpt.totalScripts = options.shard.countWithin(
-          static_cast<std::int64_t>(options.samples) + cfg.t + 1);
-    }
-    progressOpt.memoHits = [&arenas] {
-      std::int64_t hits = 0;
-      for (const auto& arena : arenas) hits += arena->runsFromMemoNow();
-      return hits;
-    };
-    progressOpt.memoRequests = [&arenas] {
-      std::int64_t requests = 0;
-      for (const auto& arena : arenas) requests += arena->runsRequestedNow();
-      return requests;
-    };
-  }
-  obs::ProgressMeter progress(std::move(progressOpt));
 
   SweepOutcome outcome;
   {
     OBS_SPAN("latency.sweep");
-    outcome = parallelSweep(
-        stream, options,
-        [&](int worker) {
-          return std::make_unique<LatShard>(
-              ctx, arenas[static_cast<std::size_t>(worker)].get());
+    outcome = sweepRuns(
+        ctx, "latency",
+        [&](RunExecutor* executor) {
+          return std::make_unique<LatShard>(ctx.configs.size(), executor);
         },
-        progress.enabled() ? &progress : nullptr);
+        options.exhaustive ? nullptr : &sampled);
   }
-  progress.finish();
-
-  SweepRunStats agg;
-  for (const auto& arena : arenas) agg.add(arena->stats());
-  agg.memoEntries = memo != nullptr ? memo->size() : 0;
-  agg.publish(obs::metrics());
 
   LatencyProfile profile = static_cast<LatShard&>(*outcome.merged).finish();
   obs::metrics().counter("latency.runs").add(profile.runsExecuted);

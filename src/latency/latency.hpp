@@ -16,7 +16,8 @@
 // decides the paper's equalities (e.g. Lat(F_OptFloodSet) = 1) exactly for
 // the checked parameters.
 //
-// Both modes run on the parallel exploration engine
+// Both modes run on the sweep driver shared with modelCheckConsensus
+// (src/mc/sweep.hpp) over the parallel exploration engine
 // (src/explore/parallel_sweep.hpp); profiles are bit-identical for every
 // ExploreSpec::threads value because per-shard min/max accumulators reduce
 // commutatively in stream order.

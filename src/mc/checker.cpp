@@ -4,28 +4,15 @@
 #include <sstream>
 #include <utility>
 
-#include "explore/parallel_sweep.hpp"
 #include "explore/reduction.hpp"
-#include "lint/lint.hpp"
+#include "mc/sweep.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
 namespace ssvsp {
 
 namespace {
-
-/// Reduce one (crashes -> latency) entry into a worst-latency map: kNoRound
-/// is infinity, so it absorbs.
-void foldWorst(std::map<int, Round>& into, int crashes, Round lat) {
-  auto [it, inserted] = into.try_emplace(crashes, lat);
-  if (inserted) return;
-  if (lat == kNoRound || it->second == kNoRound)
-    it->second = kNoRound;
-  else
-    it->second = std::max(it->second, lat);
-}
 
 void foldBest(std::map<int, Round>& into, int crashes, Round lat) {
   auto [it, inserted] = into.try_emplace(crashes, lat);
@@ -250,17 +237,6 @@ std::optional<McReport> McReport::fromJson(const JsonValue& doc,
 
 namespace {
 
-/// Read-only context shared by every shard of one check.  The factory must
-/// be callable concurrently (see rounds/round_automaton.hpp).
-struct McContext {
-  const RoundAutomatonFactory& factory;
-  const RoundConfig& cfg;
-  RoundModel model;
-  const McCheckOptions& options;
-  std::vector<std::vector<Value>> configs;
-  RoundEngineOptions engineOpt;
-};
-
 /// One shard of the model-checking sweep: an McReport restricted to a
 /// contiguous range of the script stream.  mergeFrom appends the later
 /// range, so violations stay sorted by the canonical run key and the
@@ -274,8 +250,9 @@ struct McContext {
 /// re-executed fresh to produce its exact witness.
 class McShard : public SweepShard {
  public:
-  McShard(const McContext& ctx, RunExecutor* executor)
-      : ctx_(ctx), executor_(executor) {}
+  McShard(const SweepContext& ctx, const McCheckOptions& options,
+          RunExecutor* executor)
+      : ctx_(ctx), options_(options), executor_(executor) {}
 
   void visit(const FailureScript& script, std::int64_t scriptIndex) override {
     const int crashes = script.numCrashes();
@@ -285,11 +262,11 @@ class McShard : public SweepShard {
 
       const Round runLatency = summary.latency;
       const bool boundExceeded =
-          ctx_.options.latencyBound != kNoRound &&
-          (runLatency == kNoRound || runLatency > ctx_.options.latencyBound);
+          options_.latencyBound != kNoRound &&
+          (runLatency == kNoRound || runLatency > options_.latencyBound);
       if ((!summary.consensusOk || boundExceeded) &&
           static_cast<int>(report_.violations.size()) <
-              ctx_.options.maxViolations) {
+              options_.maxViolations) {
         const RoundRunResult run =
             runRounds(ctx_.cfg, ctx_.model, ctx_.factory, ctx_.configs[ci],
                       script, ctx_.engineOpt);
@@ -300,7 +277,7 @@ class McShard : public SweepShard {
           os << verdict.witness << "[latency-bound] |r|="
              << (runLatency == kNoRound ? std::string("inf")
                                         : std::to_string(runLatency))
-             << " exceeds the asserted bound " << ctx_.options.latencyBound
+             << " exceeds the asserted bound " << options_.latencyBound
              << "; ";
           verdict.witness = os.str();
         }
@@ -318,18 +295,19 @@ class McShard : public SweepShard {
 
   void mergeFrom(SweepShard& from) override {
     mergeMcReports(report_, std::move(static_cast<McShard&>(from).report_),
-                   ctx_.options.maxViolations);
+                   options_.maxViolations);
   }
 
   bool saturated() const override {
     return static_cast<int>(report_.violations.size()) >=
-           ctx_.options.maxViolations;
+           options_.maxViolations;
   }
 
   McReport takeReport() { return std::move(report_); }
 
  private:
-  const McContext& ctx_;
+  const SweepContext& ctx_;
+  const McCheckOptions& options_;
   RunExecutor* executor_;  ///< the owning worker's arena; visit()-only
   McReport report_;
 };
@@ -339,89 +317,17 @@ class McShard : public SweepShard {
 McReport modelCheckConsensus(const RoundAutomatonFactory& factory,
                              const RoundConfig& cfg, RoundModel model,
                              const McCheckOptions& options) {
-  // Fail fast on inadmissible specs: a structured PreflightError here beats
-  // an InvariantViolation thrown from the middle of a sweep.
-  preflightSweep(cfg, model, options);
-
-  McContext ctx{factory, cfg, model, options,
-                allInitialConfigs(cfg.n, options.valueDomain),
-                RoundEngineOptions{}};
-  ctx.engineOpt.horizon = options.enumeration.horizon + options.horizonSlack;
-  // Decisions are final; stopping once every alive process decided is safe
-  // and makes exhaustive sweeps ~2x faster.
-  ctx.engineOpt.stopWhenAllDecided = true;
-
-  // One execution arena per worker: engines (with their automata and
-  // buffers) live for the whole sweep, not per chunk.  The memo is shared.
-  std::unique_ptr<SymmetryGroup> group;
-  std::unique_ptr<RunMemo> ownedMemo;
-  RunMemo* memo = nullptr;
-  std::optional<indep::PorSpec> por;
-  if (options.reduction != Reduction::kNone) {
-    group = std::make_unique<SymmetryGroup>(cfg.n, options.symmetryFixedIds);
-    if (options.memo != nullptr) {
-      memo = options.memo;  // external (persistent) memo, e.g. a MemoStore
-    } else {
-      ownedMemo = std::make_unique<RunMemo>();
-      memo = ownedMemo.get();
-    }
-    if (options.reduction == Reduction::kSymmetryPor)
-      por = porSpecFromExplore(options);
-  }
-  std::vector<std::unique_ptr<RunExecutor>> arenas;
-  for (int w = 0; w < resolveThreads(options.threads); ++w)
-    arenas.push_back(std::make_unique<RunExecutor>(
-        cfg, model, factory, ctx.configs, ctx.engineOpt, group.get(), memo,
-        por.has_value() ? &*por : nullptr));
-
-  const ScriptStream stream =
-      [&](const std::function<bool(const FailureScript&)>& fn) {
-        forEachScript(cfg, model, options.enumeration, fn);
-      };
-
-  obs::ProgressMeter::Options progressOpt;
-  progressOpt.intervalSec = options.progressIntervalSec >= 0
-                                ? options.progressIntervalSec
-                                : obs::progressIntervalFromEnv();
-  progressOpt.label = "mc";
-  if (progressOpt.intervalSec > 0) {
-    // Counting costs one extra (runless) enumeration pass; only pay it when
-    // the progress line is actually on.  The total is the SLICE the sweep
-    // actually executes, not the whole stream — a shard worker's ETA would
-    // otherwise be pessimistic by the shard count.
-    progressOpt.totalScripts = options.shard.countWithin(
-        countScripts(cfg, model, options.enumeration));
-    progressOpt.memoHits = [&arenas] {
-      std::int64_t hits = 0;
-      for (const auto& arena : arenas) hits += arena->runsFromMemoNow();
-      return hits;
-    };
-    progressOpt.memoRequests = [&arenas] {
-      std::int64_t requests = 0;
-      for (const auto& arena : arenas) requests += arena->runsRequestedNow();
-      return requests;
-    };
-  }
-  obs::ProgressMeter progress(std::move(progressOpt));
-
+  const SweepContext ctx(factory, cfg, model, options);
   SweepOutcome outcome;
   {
     OBS_SPAN("mc.sweep");
-    outcome = parallelSweep(
-        stream, options,
-        [&](int worker) {
-          return std::make_unique<McShard>(
-              ctx, arenas[static_cast<std::size_t>(worker)].get());
+    outcome = sweepRuns(
+        ctx, "mc",
+        [&](RunExecutor* executor) {
+          return std::make_unique<McShard>(ctx, options, executor);
         },
-        progress.enabled() ? &progress : nullptr);
+        /*scripts=*/nullptr, options.memo, options.runStats);
   }
-  progress.finish();
-
-  SweepRunStats agg;
-  for (const auto& arena : arenas) agg.add(arena->stats());
-  agg.memoEntries = memo != nullptr ? memo->size() : 0;
-  agg.publish(obs::metrics());
-  if (options.runStats != nullptr) *options.runStats = agg;
 
   McReport report = static_cast<McShard&>(*outcome.merged).takeReport();
   SSVSP_CHECK(report.scriptsVisited == outcome.scriptsMerged);

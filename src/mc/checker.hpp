@@ -11,7 +11,8 @@
 //   * no run of the RWS algorithms decides all correct processes in round 1
 //     of failure-free runs (the Lambda >= 2 separation of Section 5.3).
 //
-// The sweep is executed by the parallel exploration engine
+// The sweep runs on the sweep driver it shares with measureLatency
+// (src/mc/sweep.hpp) over the parallel exploration engine
 // (src/explore/parallel_sweep.hpp): set ExploreSpec::threads to use a
 // worker pool.  Reports are bit-identical for every thread count —
 // violations are collected in canonical run order (script index, then

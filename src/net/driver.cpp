@@ -22,16 +22,6 @@ std::string frameRound(Round round, const std::optional<Payload>& body) {
   return out;
 }
 
-// Buffered form: hasBody marker word, then the body — present slot = heard,
-// marker distinguishes a heard-but-null message from silence.
-Payload storeBody(bool hasBody, const Payload& body) {
-  Payload stored;
-  stored.reserve(body.size() + 1);
-  stored.push_back(hasBody ? 1 : 0);
-  for (std::int32_t word : body) stored.push_back(word);
-  return stored;
-}
-
 }  // namespace
 
 RwsFromSpDriver::RwsFromSpDriver(std::unique_ptr<RoundAutomaton> inner,
@@ -43,7 +33,8 @@ RwsFromSpDriver::RwsFromSpDriver(std::unique_ptr<RoundAutomaton> inner,
       self_(self),
       maxRounds_(maxRounds),
       link_(link),
-      plan_(plan) {
+      plan_(plan),
+      buffer_(cfg.n, maxRounds) {
   SSVSP_CHECK(inner_ != nullptr);
   SSVSP_CHECK(cfg.n >= 1 && cfg.n <= kMaxProcs);
   SSVSP_CHECK(self >= 0 && self < cfg.n);
@@ -58,29 +49,23 @@ bool RwsFromSpDriver::onPayload(ProcessId from, std::string_view payload) {
   const bool hasBody = r.getU8() != 0;
   Payload body;
   while (r.ok() && !r.exhausted()) body.push_back(r.getI32());
-  if (!r.ok() || round < 1 || from < 0 || from >= cfg_.n) return true;
-  auto& slots = buffered_[round];
-  if (slots.empty())
-    slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-  // A second frame for a (round, sender) slot still buffered is a duplicate:
-  // keep the first copy.  A malformed datagram must never kill the node.
-  auto& slot = slots[static_cast<std::size_t>(from)];
-  if (!slot.has_value()) slot = storeBody(hasBody, body);
+  // Network input: a malformed, out-of-range or duplicate frame is dropped
+  // (the buffer keeps a slot's first copy) and must never kill the node.
+  if (r.ok())
+    buffer_.store(round, from,
+                  hasBody ? std::optional<Payload>(std::move(body))
+                          : std::nullopt);
   return true;
 }
 
 void RwsFromSpDriver::sendRound(Round round, ProcessSet dsts) {
   for (ProcessId dst = 0; dst < cfg_.n; ++dst) {
     if (!dsts.contains(dst)) continue;
-    const std::optional<Payload> body = inner_->messageFor(dst);
+    std::optional<Payload> body = inner_->messageFor(dst);
     if (dst == self_) {
       // The link is peer-to-peer; the self-copy short-circuits locally
       // (the simulator routes it through the executor instead).
-      auto& slots = buffered_[round];
-      if (slots.empty())
-        slots.assign(static_cast<std::size_t>(cfg_.n), std::nullopt);
-      slots[static_cast<std::size_t>(self_)] =
-          storeBody(body.has_value(), body.value_or(Payload{}));
+      buffer_.store(round, self_, std::move(body));
       continue;
     }
     link_.send(dst, frameRound(round, body));
@@ -106,53 +91,13 @@ int RwsFromSpDriver::advance(ProcessSet suspected) {
       sentThisRound_ = true;
     }
 
-    // Receive guard, verbatim from RwsEmulator::onStep: for every peer, a
+    // Receive guard (RoundBuffer, the simulator's too): for every peer, a
     // consumable message (oldest buffered round <= current, FIFO) or a
     // suspicion.
-    auto oldestFor = [&](ProcessId q) -> std::optional<Round> {
-      for (const auto& [r, slots] : buffered_) {
-        if (r > round) break;  // future-round messages wait their turn
-        if (slots[static_cast<std::size_t>(q)].has_value()) return r;
-      }
-      return std::nullopt;
-    };
+    if (!buffer_.ready(round, suspected)) return completed;
 
-    bool guardMet = true;
-    for (ProcessId q = 0; q < cfg_.n; ++q) {
-      if (oldestFor(q).has_value()) continue;
-      if (suspected.contains(q)) continue;
-      guardMet = false;
-      break;
-    }
-    if (!guardMet) return completed;
-
-    // Consume: one message per sender, oldest round first.
-    std::vector<std::optional<Payload>> received(
-        static_cast<std::size_t>(cfg_.n));
-    ProcessSet heard;
-    for (ProcessId q = 0; q < cfg_.n; ++q) {
-      const auto src = oldestFor(q);
-      if (!src.has_value()) continue;
-      if (*src < round) ++lateDeliveries_;
-      auto& slot = buffered_[*src][static_cast<std::size_t>(q)];
-      const Payload& stored = *slot;
-      if (stored[0] != 0)
-        received[static_cast<std::size_t>(q)] =
-            Payload(stored.begin() + 1, stored.end());
-      slot.reset();
-      heard.insert(q);
-    }
-    while (!buffered_.empty()) {
-      auto it = buffered_.begin();
-      bool empty = true;
-      for (const auto& s : it->second)
-        if (s.has_value()) empty = false;
-      if (!empty || it->first > round) break;
-      buffered_.erase(it);
-    }
-
-    heardPerRound_.push_back(heard);
-    inner_->transition(received);
+    heardPerRound_.push_back(buffer_.consume(round));
+    inner_->transition(buffer_.received());
     ++roundsCompleted_;
     sentThisRound_ = false;
     ++completed;

@@ -1,12 +1,12 @@
 // RwsFromSpDriver: the paper's §4.2 emulation, run over real transport.
 //
-// src/emul/rws_from_sp.hpp implements "keep executing steps of SP until,
-// for every p_j, a message from p_j or a suspicion of p_j" inside the
-// step-level simulator.  This driver is the same receive guard verbatim —
-// same wire encoding of round messages, same oldest-first FIFO consumption
-// of late (pending) messages — but the SP primitives are realized by the
-// transport stack: reliable channels by PerfectLink, the failure detector
-// by HeartbeatMonitor, and "pending" messages arise from genuine network
+// "Keep executing steps of SP until, for every p_j, a message from p_j or a
+// suspicion of p_j" is RoundBuffer (src/emul/round_buffer.hpp), the one
+// receive guard the step-level simulator's RwsEmulator runs too: the same
+// keep-first store, the same oldest-first FIFO consumption of late
+// (pending) messages.  Here the SP primitives are realized by the transport
+// stack: reliable channels by PerfectLink, the failure detector by
+// HeartbeatMonitor, and "pending" messages arise from genuine network
 // scheduling instead of an adversary script.  The inner RoundAutomaton is
 // UNMODIFIED registry code; Lemma 4.1 carries over, so every finished
 // execution is an RWS run and the analyzer's Lat(A, f) bounds apply to the
@@ -20,12 +20,12 @@
 // replay with their exact crash rounds and partial broadcasts.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "emul/round_buffer.hpp"
 #include "net/urb.hpp"
 #include "rounds/round_automaton.hpp"
 #include "util/process_set.hpp"
@@ -76,7 +76,7 @@ class RwsFromSpDriver {
 
   /// Messages consumed from a round older than the one they surfaced in —
   /// real-network "pending" deliveries, the RWS signature.
-  std::int64_t lateDeliveries() const { return lateDeliveries_; }
+  std::int64_t lateDeliveries() const { return buffer_.lateDeliveries(); }
 
   const RoundAutomaton& inner() const { return *inner_; }
 
@@ -94,10 +94,7 @@ class RwsFromSpDriver {
   bool sentThisRound_ = false;
   bool halted_ = false;
   Round decisionRound_ = kNoRound;
-  std::int64_t lateDeliveries_ = 0;
-  /// Buffered wire messages by (round, sender); consumed FIFO one-per-
-  /// sender, oldest round first — identical to RwsEmulator::buffered_.
-  std::map<Round, std::vector<std::optional<Payload>>> buffered_;
+  RoundBuffer buffer_;  ///< the receive guard, shared with the simulator
   std::vector<ProcessSet> heardPerRound_;
 };
 

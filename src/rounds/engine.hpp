@@ -110,21 +110,15 @@ struct InFlightMsg {
 /// run's, which the resumed run shares up to `round` by the divergence
 /// rule.
 ///
-/// Automaton state is captured in one of two forms:
-///   * POD (`stateBlob` non-empty): every automaton honoured the
-///     RoundAutomaton::stateBytes contract, so the snapshot is one flat
-///     arena block — `stateBlob[i * stateStride ..]` holds process i's
-///     bytes — written by memcpy and restored into the engine's POOLED
-///     automata without any allocation.  `automata` stays empty.
-///   * clones (`automata` non-empty): the pre-POD fallback via
-///     RoundAutomaton::clone (move-only, one heap clone per process).
-/// The engine recycles checkpoint objects (and their blob/inbox buffers)
+/// Automaton state is one flat arena block: every automaton honoured the
+/// RoundAutomaton::stateBytes contract with the same stride, so process
+/// i's bytes sit at `stateBlob[i * stride ..]`, written by memcpy and
+/// restored into the engine's POOLED automata without any allocation.  The
+/// engine recycles checkpoint objects (and their blob/inbox buffers)
 /// through a freelist, so steady-state snapshotting allocates nothing.
 struct RoundCheckpoint {
   Round round = 0;  ///< state captured at the end of this round
-  std::vector<std::unique_ptr<RoundAutomaton>> automata;
-  std::vector<std::byte> stateBlob;  ///< POD form; empty = clone form
-  std::size_t stateStride = 0;       ///< per-process bytes within stateBlob
+  std::vector<std::byte> stateBlob;
   std::vector<std::vector<InFlightMsg>> inbox;
   std::vector<std::optional<Value>> decision;
   std::vector<Round> decisionRound;
@@ -146,15 +140,16 @@ Round divergenceRound(const FailureScript& a, const FailureScript& b);
 /// (via begin(), see the reset contract in round_automaton.hpp), inboxes and
 /// result buffers across runs instead of allocating per run.
 ///
-/// When the factory's automata support clone(), the engine additionally
-/// keeps a checkpoint chain for the most recent run and resumes the next
-/// run from the deepest checkpoint before divergenceRound(previous script,
-/// next script), with or without delivery tracing.  Scripts arriving in an
-/// order where consecutive scripts share long crash prefixes (the
-/// enumerator's lexicographic-by-divergence order) then skip most of their
-/// rounds.  Results are bit-identical to fresh execution by construction: a
-/// resumed run continues from a deep copy of exactly the state a fresh run
-/// would have reached.
+/// When the factory's automata honour the POD-snapshot contract
+/// (round_automaton.hpp), the engine additionally keeps a checkpoint chain
+/// for the most recent run and resumes the next run from the deepest
+/// checkpoint before divergenceRound(previous script, next script), with
+/// or without delivery tracing.  Scripts arriving in an order where
+/// consecutive scripts share long crash prefixes (the enumerator's
+/// lexicographic-by-divergence order) then skip most of their rounds.
+/// Results are bit-identical to fresh execution by construction: a resumed
+/// run continues from a copy of exactly the state a fresh run would have
+/// reached.
 ///
 /// Once warm — every schedule cell of one initial configuration executed —
 /// execute() makes no heap allocation (payloads are inline, buffers keep
@@ -173,7 +168,7 @@ class RoundEngine {
   void execute(const std::vector<Value>& initial, const FailureScript& script);
 
   /// The checkpoint at the end of round r from the current chain, or
-  /// nullptr (no run yet, cloning unsupported, or r outside the chain —
+  /// nullptr (no run yet, checkpoints off, or r outside the chain —
   /// the final executed round is never snapshotted: a run diverging after
   /// it is fully reusable without one).
   const RoundCheckpoint* snapshotAt(Round r) const;
@@ -224,9 +219,8 @@ class RoundEngine {
   RoundRunResult result_;
   bool resultValid_ = false;
 
-  bool checkpointing_ = false;  ///< automata cloneable
-  bool probed_ = false;         ///< clone support probed on the first run
-  std::size_t podStride_ = 0;   ///< per-process POD bytes; 0 = clone form
+  bool probed_ = false;        ///< snapshot support probed on the first run
+  std::size_t podStride_ = 0;  ///< per-process POD bytes; 0 = no checkpoints
   /// chain_[r - 1] = end-of-round-r state of the last run, rounds
   /// 1 .. roundsExecuted - 1 (the final round needs no snapshot).
   std::vector<std::unique_ptr<RoundCheckpoint>> chain_;

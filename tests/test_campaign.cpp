@@ -64,24 +64,6 @@ MemoKey testKey(std::uint64_t tag) {
   return k;
 }
 
-/// The raw v1 key encoding: native-endian i64 stream [crashCount,
-/// pendingCount, tuples...] followed by 4-byte config values — what the
-/// pre-MemoKey PairCanonicalizer::key() returned and v1 logs persist.
-std::string v1KeyBytes(std::int64_t crashCount, std::int64_t pendingCount,
-                       const std::vector<std::int64_t>& tuples,
-                       const std::vector<Value>& config) {
-  std::string out;
-  const auto putI64 = [&out](std::int64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  putI64(crashCount);
-  putI64(pendingCount);
-  for (std::int64_t v : tuples) putI64(v);
-  for (Value v : config)
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  return out;
-}
-
 /// Frames one record body exactly like the store's appender.
 std::string framed(const std::string& body) {
   std::string out;
@@ -198,57 +180,29 @@ TEST_F(CampaignTest, StoreRefusesFooterCountMismatch) {
   EXPECT_NE(error.find("footer count mismatch"), std::string::npos) << error;
 }
 
-TEST_F(CampaignTest, StoreReadsV1LogsAndMixedVersionAppends) {
-  // Hand-write a v1-era log: old magic, one summary record whose key is the
-  // legacy string encoding of (no crashes, no pendings, canonical config
-  // 0,0,1 for n=3).  open() must convert it to the packed form the CURRENT
-  // canonicalizer computes for the same orbit — the conversion is what lets
-  // a warm v1 campaign store keep serving sweeps.
+TEST_F(CampaignTest, StoreRefusesV1LogAndLeavesItUntouched) {
+  // A log under the retired v1 magic is refused as a bad header, and the
+  // refusal must not repair (truncate) or append to it.
   appendRaw(storePath(), std::string("SSVSPML1", 8));
   {
     std::string body;
     RecordWriter w(body);
-    w.putU8(1);  // kRecSummary, v1 string-key flavor
-    w.putBytes(v1KeyBytes(0, 0, {}, {0, 0, 1}));
+    w.putU8(1);  // the retired v1 summary record type
+    w.putBytes(std::string(16, '\0'));
     w.putU32(77).putI32(2).putU8(1);
     appendRaw(storePath(), framed(body));
   }
+  std::ifstream before(storePath(), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(before)),
+                          std::istreambuf_iterator<char>());
 
   std::string error;
-  {
-    auto store = MemoStore::open(storePath(), &error);
-    ASSERT_NE(store, nullptr) << error;
-    EXPECT_EQ(store->openStats().entriesLoaded, 1);
-
-    // The converted key must equal what the live canonicalizer computes for
-    // the orbit of config (0,1,0) under the empty script (both minimize to
-    // config 0,0,1) — v1 tuple order and v2 word order agree.
-    const SymmetryGroup g(3, 0);
-    PairCanonicalizer canon(g);
-    canon.setScript(FailureScript{});
-    const std::optional<RunSummary> hit = store->find(canon.key({0, 1, 0}));
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->latency, 2);
-
-    // Appends to the old log use v2 records in place.
-    store->insert(testKey(9), RunSummary{4, false});
-    ASSERT_TRUE(store->appendFooter(&error)) << error;
-  }
-
-  // Mixed-version replay: v1 record, then v2 record, then a torn tail —
-  // both intact records survive, the tail is repaired away.
-  const std::int64_t intact = fileSize(storePath());
-  appendRaw(storePath(), std::string("\x2a\x00\x00\x00oops", 8));
-  auto store = MemoStore::open(storePath(), &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->openStats().entriesLoaded, 2);
-  EXPECT_EQ(store->openStats().bytesTruncated, 8);
-  EXPECT_EQ(fileSize(storePath()), intact);
-  EXPECT_TRUE(store->find(testKey(9)).has_value());
-  const SymmetryGroup g(3, 0);
-  PairCanonicalizer canon(g);
-  canon.setScript(FailureScript{});
-  EXPECT_TRUE(store->find(canon.key({0, 1, 0})).has_value());
+  EXPECT_EQ(MemoStore::open(storePath(), &error), nullptr);
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  std::ifstream after(storePath(), std::ios::binary);
+  EXPECT_EQ(std::string((std::istreambuf_iterator<char>(after)),
+                        std::istreambuf_iterator<char>()),
+            bytes);
 }
 
 TEST_F(CampaignTest, StoreRefusesUndecodableSummaryKey) {
@@ -370,37 +324,6 @@ TEST_F(CampaignTest, CompactRefusesUnsealedStoreUnlessForced) {
   EXPECT_EQ(store->openStats().entriesLoaded, 2);
   EXPECT_EQ(store->openStats().footersSeen, 1);
   EXPECT_EQ(store->openStats().entriesUnfooted, 0);
-}
-
-TEST_F(CampaignTest, CompactUpgradesV1LogsToV2) {
-  // A v1-era log (old magic, string-key record, no footer) compacts —
-  // under --force, since v1 logs predate footers — into a sealed v2 log.
-  appendRaw(storePath(), std::string("SSVSPML1", 8));
-  {
-    std::string body;
-    RecordWriter w(body);
-    w.putU8(1);  // kRecSummary, v1 string-key flavor
-    w.putBytes(v1KeyBytes(0, 0, {}, {0, 0, 1}));
-    w.putU32(77).putI32(2).putU8(1);
-    appendRaw(storePath(), framed(body));
-  }
-  std::string error;
-  CompactStats stats;
-  EXPECT_FALSE(compactMemoStore(storePath(), /*force=*/false, &stats, &error));
-  ASSERT_TRUE(compactMemoStore(storePath(), /*force=*/true, &stats, &error))
-      << error;
-  EXPECT_EQ(stats.entriesAfter, 1);
-
-  auto store = MemoStore::open(storePath(), &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_EQ(store->openStats().entriesLoaded, 1);
-  EXPECT_EQ(store->openStats().footersSeen, 1);
-  const SymmetryGroup g(3, 0);
-  PairCanonicalizer canon(g);
-  canon.setScript(FailureScript{});
-  const std::optional<RunSummary> hit = store->find(canon.key({0, 1, 0}));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->latency, 2);
 }
 
 TEST_F(CampaignTest, ManifestJsonRoundTrip) {
@@ -604,10 +527,10 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
       << mixed.error;
 }
 
-TEST_F(CampaignTest, PrePorManifestParsesWithLegacyReductionBool) {
-  // Manifests written before the "reduction" string key carried only the
-  // legacy "symmetry_reduction" bool — they must still load, mapping to
-  // kSymmetry with every POR field at its default.
+TEST_F(CampaignTest, PrePorManifestIsRefused) {
+  // Manifests written before the "reduction" string key carried only a
+  // "symmetry_reduction" bool and no POR fields.  They are refused with an
+  // error rather than guessed at.
   CampaignSpec spec;
   spec.algorithm = "FloodSet";
   spec.n = 3;
@@ -622,7 +545,7 @@ TEST_F(CampaignTest, PrePorManifestParsesWithLegacyReductionBool) {
   const auto manifest = campaignStatus(dir_, &error);
   ASSERT_TRUE(manifest.has_value()) << error;
   std::string text = manifest->toJsonString();
-  // Strip the modern keys to simulate a pre-POR writer.
+  // Strip the modern keys and put the old bool in their place.
   for (const char* key : {"\"reduction\"", "\"decision_fix_round\"",
                           "\"por_replay_every\"", "\"por_reads_all_senders\"",
                           "\"por_read_ids_mask\""}) {
@@ -634,13 +557,11 @@ TEST_F(CampaignTest, PrePorManifestParsesWithLegacyReductionBool) {
     ASSERT_NE(begin, std::string::npos) << key;
     text.erase(begin, end - begin);
   }
-  const auto legacy = CampaignManifest::fromJsonString(text, &error);
-  ASSERT_TRUE(legacy.has_value()) << error;
-  EXPECT_EQ(legacy->reduction, Reduction::kSymmetry);
-  EXPECT_EQ(legacy->decisionFixRound, kNoRound);
-  EXPECT_EQ(legacy->porReplayEvery, 0);
-  EXPECT_TRUE(legacy->porReadsAllSenders);
-  EXPECT_EQ(legacy->porReadIdsMask, 0u);
+  const std::size_t slack = text.find("\"horizon_slack\"");
+  ASSERT_NE(slack, std::string::npos);
+  text.insert(slack, "\"symmetry_reduction\": true,\n  ");
+  EXPECT_FALSE(CampaignManifest::fromJsonString(text, &error).has_value());
+  EXPECT_NE(error.find("manifest: bad"), std::string::npos) << error;
 }
 
 TEST_F(CampaignTest, RunShardMergeShardsContract) {

@@ -1,9 +1,13 @@
 // Tests for the emulations of Section 4: RS on SS (padding schedule) and
-// RWS on SP (receive-until-suspect), including Lemma 4.1.
+// RWS on SP (receive-until-suspect), including Lemma 4.1 and the shared
+// receive guard (RoundBuffer) the wire driver runs too.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "consensus/registry.hpp"
 #include "rounds/adversary.hpp"
+#include "emul/round_buffer.hpp"
 #include "emul/rs_from_ss.hpp"
 #include "emul/rws_from_sp.hpp"
 #include "fd/failure_detectors.hpp"
@@ -258,6 +262,50 @@ TEST(RwsEmulation, PendingMessageScenarioProducesLateDelivery) {
   const auto report =
       checkWeakRoundSynchrony({h.emus.begin(), h.emus.end()}, pattern);
   EXPECT_TRUE(report.ok) << report.witness;
+}
+
+TEST(RoundBuffer, RejectsOutOfRangeRoundsAndKeepsTheFirstCopy) {
+  using Stored = RoundBuffer::Stored;
+  RoundBuffer buffer(/*n=*/2, /*maxRounds=*/2);
+  // Rounds outside [1, maxRounds] can never be consumed: none is buffered.
+  for (Round round : {0, 3, INT32_MAX})
+    EXPECT_EQ(buffer.store(round, 1, Payload{7}), Stored::kRejected) << round;
+  EXPECT_EQ(buffer.store(1, 2, Payload{7}), Stored::kRejected);  // no p2
+  EXPECT_FALSE(buffer.ready(1, ProcessSet{0}));
+  EXPECT_FALSE(buffer.ready(2, ProcessSet{0}));
+
+  EXPECT_EQ(buffer.store(1, 1, Payload{7}), Stored::kNew);
+  EXPECT_EQ(buffer.store(1, 1, Payload{8}), Stored::kDuplicate);
+  ASSERT_TRUE(buffer.ready(1, ProcessSet{0}));
+  EXPECT_EQ(buffer.consume(1), ProcessSet{1});
+  EXPECT_EQ(buffer.received()[1], Payload{7});
+
+  // A copy of a consumed message is a duplicate too, not a late message.
+  EXPECT_EQ(buffer.store(1, 1, Payload{7}), Stored::kDuplicate);
+  EXPECT_FALSE(buffer.ready(2, ProcessSet{0}));
+  EXPECT_EQ(buffer.lateDeliveries(), 0);
+}
+
+TEST(RoundBuffer, PendingMessageOfASuspectedSenderSurfacesLate) {
+  RoundBuffer buffer(/*n=*/2, /*maxRounds=*/3);
+  // Round 1: p1 is silent and suspected, so p0 leaves with its own message.
+  ASSERT_EQ(buffer.store(1, 0, Payload{1}), RoundBuffer::Stored::kNew);
+  EXPECT_FALSE(buffer.ready(1, ProcessSet{}));
+  ASSERT_TRUE(buffer.ready(1, ProcessSet{1}));
+  EXPECT_EQ(buffer.consume(1), ProcessSet{0});
+  EXPECT_FALSE(buffer.received()[1].has_value());
+
+  // p1's round-1 message lands after that round finished: its slot was
+  // never consumed, so it is a genuine pending message, consumed in round 2
+  // ahead of p1's fresher round-2 message (FIFO).
+  ASSERT_EQ(buffer.store(2, 0, std::nullopt), RoundBuffer::Stored::kNew);
+  ASSERT_EQ(buffer.store(1, 1, Payload{5}), RoundBuffer::Stored::kNew);
+  ASSERT_EQ(buffer.store(2, 1, Payload{6}), RoundBuffer::Stored::kNew);
+  ASSERT_TRUE(buffer.ready(2, ProcessSet{}));
+  EXPECT_EQ(buffer.consume(2), (ProcessSet{0, 1}));
+  EXPECT_FALSE(buffer.received()[0].has_value());  // heard, null message
+  EXPECT_EQ(buffer.received()[1], Payload{5});
+  EXPECT_EQ(buffer.lateDeliveries(), 1);
 }
 
 }  // namespace

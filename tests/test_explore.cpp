@@ -6,6 +6,9 @@
 // the non-throwing registry lookup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "consensus/registry.hpp"
 #include "explore/parallel_sweep.hpp"
 #include "explore/spec.hpp"
@@ -172,22 +175,37 @@ TEST(ExploreDeterminism, SampledLatencyIdenticalAcrossThreadCounts) {
 
 TEST(ExploreSpecApi, OptionsEmbedExploreSpec) {
   // The unified sweep description is the base of both analyzers' options;
-  // a spec configured once drives both.
-  ExploreSpec spec;
-  spec.enumeration.horizon = 3;
-  spec.enumeration.maxCrashes = 1;
-  spec.valueDomain = 2;
-  spec.threads = 2;
+  // a spec configured once drives both, and since both run on the one
+  // sweep driver their two folds of the same runs must agree: the
+  // analyzer's Lat(A, f), Lambda and lat(A) are the checker's worst and
+  // best latency maps read another way.
+  const RoundConfig cfg = cfgOf(3, 1);
+  for (const AlgorithmEntry& entry : algorithmRegistry()) {
+    SCOPED_TRACE(entry.name);
+    ExploreSpec spec = canonicalLatencyOptions(entry, cfg);
+    spec.threads = 2;
 
-  const auto report = modelCheckConsensus(algorithmByName("FloodSet").factory,
-                                          cfgOf(3, 1), RoundModel::kRs, spec);
-  EXPECT_TRUE(report.ok());
+    McCheckOptions check;
+    static_cast<ExploreSpec&>(check) = spec;
+    // A saturated sweep stops at a chunk boundary, and its latency maps
+    // then cover only a prefix: let no check saturate.
+    check.maxViolations = std::numeric_limits<int>::max();
+    const auto report =
+        modelCheckConsensus(entry.factory, cfg, entry.intendedModel, check);
+    const auto profile =
+        measureLatency(entry.factory, cfg, entry.intendedModel, spec);
 
-  const auto profile = measureLatency(algorithmByName("FloodSet").factory,
-                                      cfgOf(3, 1), RoundModel::kRs, spec);
-  EXPECT_EQ(profile.lambda, 2);
-  // Same space: the checker and the analyzer executed the same runs.
-  EXPECT_EQ(report.runsExecuted, profile.runsExecuted);
+    // Same space: the checker and the analyzer executed the same runs.
+    EXPECT_EQ(report.runsExecuted, profile.runsExecuted);
+    ASSERT_FALSE(profile.latByMaxCrashes.empty());
+    for (const auto& [f, lat] : profile.latByMaxCrashes)
+      EXPECT_EQ(lat, report.latUpToCrashes(f)) << "f = " << f;
+    EXPECT_EQ(profile.lambda, report.latUpToCrashes(0));
+    Round best = kNoRound;
+    for (const auto& [crashes, lat] : report.bestLatencyByCrashes)
+      best = std::min(best, lat);
+    EXPECT_EQ(profile.lat, best);
+  }
 }
 
 TEST(ExploreSpecApi, ResolveThreads) {

@@ -122,20 +122,16 @@ TEST(EnumeratorBasics, AllInitialConfigs) {
 class NaiveEarlyFloodSet : public FloodSet {
  public:
   NaiveEarlyFloodSet() : FloodSet(false) {}
-  // The engine pools automata across runs (begin() must fully reset) and
-  // resumes from clones (clone() must preserve the dynamic type), so a
-  // subclass with extra state has to override both.  stateBytes /
-  // restoreBytes are deliberately NOT overridden: the inherited snapshot
-  // would slice off hasPrev_/prevHeard_, and this test doubles as a check
-  // that the engine's stateBytesType() tripwire detects the mismatch and
-  // falls back to clone checkpoints instead of corrupting resumed runs.
+  // The engine pools automata across runs, so begin() must fully reset the
+  // extra state.  stateBytes / restoreBytes / stateBytesType are
+  // deliberately NOT overridden: the inherited snapshot would slice off
+  // hasPrev_/prevHeard_, and this automaton doubles as a check that the
+  // engine's stateBytesType() tripwire detects the mismatch and falls back
+  // to no checkpoints instead of corrupting resumed runs.
   void begin(ProcessId self, const RoundConfig& cfg, Value initial) override {
     FloodSet::begin(self, cfg, initial);
     hasPrev_ = false;
     prevHeard_ = ProcessSet();
-  }
-  std::unique_ptr<RoundAutomaton> clone() const override {
-    return std::make_unique<NaiveEarlyFloodSet>(*this);
   }
   void transition(
       const std::vector<std::optional<Payload>>& received) override {
@@ -331,6 +327,25 @@ TEST(ExhaustiveRs, EarlyFloodSetSurvivesStaggeredCrashCounterexample) {
       initial, script, opt);
   EXPECT_FALSE(checkUniformConsensus(naive).uniformAgreement)
       << naive.toString();
+}
+
+TEST(EarlyDecide, InheritedSnapshotHooksFallBackToNoCheckpoints) {
+  // FloodSet vouches for its snapshot, so its runs are checkpointed; the
+  // subclass that inherits the hooks but adds state runs without any.
+  RoundEngineOptions eo;
+  eo.horizon = 4;
+  eo.stopWhenAllDecided = false;
+  const std::vector<Value> initial{0, 1, 1};
+  RoundEngine plain(cfgOf(3, 1), RoundModel::kRs,
+                    algorithmByName("FloodSet").factory, eo);
+  plain.execute(initial, FailureScript{});
+  EXPECT_NE(plain.snapshotAt(1), nullptr);
+
+  RoundEngine naive(
+      cfgOf(3, 1), RoundModel::kRs,
+      [](ProcessId) { return std::make_unique<NaiveEarlyFloodSet>(); }, eo);
+  naive.execute(initial, FailureScript{});
+  EXPECT_EQ(naive.snapshotAt(1), nullptr);
 }
 
 TEST(EarlyDecide, NaiveCleanPairRuleIsUnsafe) {

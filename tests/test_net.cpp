@@ -15,7 +15,8 @@
 //     of the last done node, by suspicion when a DONE is lost, and with
 //     the report frozen at the done instant;
 //   * a malformed DONE link message is ignored;
-//   * RwsFromSpDriver keeps the first copy of a duplicate round frame;
+//   * RwsFromSpDriver keeps the first copy of a duplicate round frame, also
+//     one re-sent after the original was consumed;
 //   * NodeReport JSON round trip (the harness's child-to-parent channel).
 //
 // The fork/SIGKILL half of the harness is exercised by the ssvsp_net CLI
@@ -561,7 +562,8 @@ TEST(NetNodeTest, MalformedDoneIsIgnored) {
 }
 
 /// What p0's driver saw after p1's round-1 frame arrived `copies` times:
-/// round 1 under no suspicion, then round 2 with p1 suspected.
+/// round 1 under no suspicion, then `resent` more copies, then round 2 with
+/// p1 suspected.
 struct DriverView {
   int firstAdvance = 0;
   int secondAdvance = 0;
@@ -569,7 +571,7 @@ struct DriverView {
   std::int64_t lateDeliveries = 0;
 };
 
-DriverView feedRoundFrame(int copies) {
+DriverView feedRoundFrame(int copies, int resent = 0) {
   const RoundConfig cfg{2, 1};
   const AlgorithmEntry* entry = findAlgorithm("FloodSet");
   EXPECT_NE(entry, nullptr);
@@ -594,6 +596,7 @@ DriverView feedRoundFrame(int copies) {
   for (int i = 0; i < copies; ++i) EXPECT_TRUE(driver.onPayload(1, frame));
   DriverView view;
   view.firstAdvance = driver.advance(ProcessSet{});
+  for (int i = 0; i < resent; ++i) EXPECT_TRUE(driver.onPayload(1, frame));
   view.secondAdvance = driver.advance(ProcessSet{1});
   view.heardPerRound = driver.heardPerRound();
   view.lateDeliveries = driver.lateDeliveries();
@@ -617,6 +620,15 @@ TEST(RwsFromSpDriverTest, DuplicateRoundFrameKeepsTheFirstCopy) {
   EXPECT_EQ(twice.heardPerRound, once.heardPerRound);
   EXPECT_EQ(twice.lateDeliveries, once.lateDeliveries);
   EXPECT_EQ(twice.lateDeliveries, 0);
+
+  // A copy re-sent after p0 consumed the original in round 1 finds its slot
+  // spent: it must not surface in round 2 as a late message from p1.
+  DriverView resent;
+  ASSERT_NO_THROW(resent = feedRoundFrame(1, /*resent=*/1));
+  EXPECT_EQ(resent.firstAdvance, once.firstAdvance);
+  EXPECT_EQ(resent.secondAdvance, once.secondAdvance);
+  EXPECT_EQ(resent.heardPerRound, once.heardPerRound);
+  EXPECT_EQ(resent.lateDeliveries, 0);
 }
 
 TEST(NodeReportTest, JsonRoundTrip) {
