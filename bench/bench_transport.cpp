@@ -1,6 +1,6 @@
 // Experiment E-NET: the real-transport backend (src/net) under measurement.
 //
-// Three sections, written into BENCH_transport.json:
+// Two sections, written into BENCH_transport.json:
 //
 //   * link throughput — one PerfectLink pair over real loopback UDP
 //     sockets, single-threaded alternate pumping: messages/sec at a small
@@ -9,12 +9,10 @@
 //     FaultInjector at increasing drop rates: retransmit rate
 //     (retransmits / data datagrams) and the throughput cost of recovery.
 //     The seeded injector makes the datagram-level loss pattern (though
-//     not the wall-clock) reproducible;
-//   * consensus latency — repeated `launchCluster` runs of FloodSetWS
-//     (n = 4, t = 2, one scripted crash) as real forked processes:
-//     wall-clock distribution (p50/p90/p99) of full consensus including
-//     fork/exit, plus the observed decision rounds, which must sit within
-//     the analyzer's Lat(A, f) on every iteration.
+//     not the wall-clock) reproducible.
+//
+// Forked consensus clusters are timed by perfbench's wire-n4 workload and
+// their verdict is checked by `ssvsp_net launch` / `ssvsp_net replay`.
 //
 // --smoke shrinks every section for CI (the transport-smoke leg runs it).
 #include "bench_common.hpp"
@@ -22,10 +20,9 @@
 #include <cstdio>
 #include <fstream>
 
-#include "consensus/registry.hpp"
-#include "net/harness.hpp"
+#include "net/link.hpp"
+#include "util/check.hpp"
 #include "util/serde.hpp"
-#include "util/stats.hpp"
 
 namespace ssvsp {
 namespace {
@@ -115,53 +112,12 @@ LinkRun runLinkPair(std::int64_t count, const FaultSpec* faults) {
   return out;
 }
 
-struct ConsensusRun {
-  Stats wallMs;
-  Stats decisionRound;
-  int iterations = 0;
-  int failures = 0;
-  Round latBound = kNoRound;
-};
-
-ConsensusRun runConsensusSection(int iterations, const std::string& dir) {
-  ConsensusRun out;
-  out.iterations = iterations;
-  LaunchSpec spec;
-  spec.entry = findAlgorithm("FloodSetWS");
-  SSVSP_CHECK(spec.entry != nullptr);
-  spec.cfg = RoundConfig{4, 2};
-  spec.values = {0, 1, 1, 0};
-  spec.maxRounds = 4;
-  CrashEvent crash;
-  crash.p = 0;
-  crash.round = 1;
-  crash.sendTo = ProcessSet{};
-  spec.script.crashes.push_back(crash);
-  spec.reportDir = dir;
-  for (int i = 0; i < iterations; ++i) {
-    LaunchResult result;
-    const double secs =
-        bench::wallSeconds([&] { result = launchCluster(spec); });
-    if (!result.ok) {
-      ++out.failures;
-      for (const std::string& f : result.failures)
-        std::fprintf(stderr, "  consensus iteration %d: %s\n", i, f.c_str());
-      continue;
-    }
-    out.latBound = result.latBound;
-    out.wallMs.add(secs * 1e3);
-    out.decisionRound.add(result.worstDecisionRound);
-  }
-  return out;
-}
-
 int run(bool smoke, const std::string& outPath) {
   bench::printHeader(
-      "E-NET — PerfectLink / URB / consensus over real UDP loopback",
-      "unmodified RoundAutomatons on OS processes; bounds still hold");
+      "E-NET — PerfectLink over real UDP loopback",
+      "exactly-once delivery, with retransmission under injected loss");
 
   const std::int64_t linkCount = smoke ? 5'000 : 200'000;
-  const int consensusIters = smoke ? 3 : 20;
 
   Table table({"section", "config", "msgs", "msgs/sec", "retransmit rate",
                "exactly-once"});
@@ -190,18 +146,6 @@ int run(bool smoke, const std::string& outPath) {
   }
   table.print(std::cout);
   std::cout << "\n";
-
-  const ConsensusRun consensus =
-      runConsensusSection(consensusIters, "bench_transport_reports");
-  std::printf(
-      "consensus FloodSetWS n=4 t=2 f=1 (real processes, SIGKILL at round "
-      "1): %d/%d ok\n  wall ms p50=%.1f p90=%.1f p99=%.1f  decision round "
-      "worst=%g (Lat bound %d)\n",
-      consensus.iterations - consensus.failures, consensus.iterations,
-      consensus.wallMs.percentile(50), consensus.wallMs.percentile(90),
-      consensus.wallMs.percentile(99),
-      consensus.decisionRound.count() > 0 ? consensus.decisionRound.max() : 0,
-      consensus.latBound);
 
   std::ofstream jsonOut(outPath, std::ios::trunc);
   JsonWriter w(jsonOut, 2);
@@ -236,21 +180,6 @@ int run(bool smoke, const std::string& outPath) {
     w.endObject();
   }
   w.endArray();
-  w.key("consensus").beginObject();
-  w.kv("algorithm", "FloodSetWS");
-  w.kv("n", 4);
-  w.kv("t", 2);
-  w.kv("f", 1);
-  w.kv("iterations", std::int64_t{consensus.iterations});
-  w.kv("failures", std::int64_t{consensus.failures});
-  w.kv("lat_bound", std::int64_t{consensus.latBound});
-  if (consensus.wallMs.count() > 0) {
-    w.kv("wall_ms_p50", consensus.wallMs.percentile(50));
-    w.kv("wall_ms_p90", consensus.wallMs.percentile(90));
-    w.kv("wall_ms_p99", consensus.wallMs.percentile(99));
-    w.kv("worst_decision_round", consensus.decisionRound.max());
-  }
-  w.endObject();
   w.endObject();
   jsonOut << "\n";
 
@@ -266,11 +195,6 @@ int run(bool smoke, const std::string& outPath) {
                                  : "never retransmitted (injector inert?)");
       rc = 1;
     }
-  if (consensus.failures > 0) {
-    std::printf("FAIL: %d consensus iteration(s) violated the verdict\n",
-                consensus.failures);
-    rc = 1;
-  }
   std::printf("%s -> %s\n", rc == 0 ? "OK" : "FAILED", outPath.c_str());
   return rc;
 }
@@ -280,9 +204,8 @@ int run(bool smoke, const std::string& outPath) {
 
 int main(int argc, char** argv) {
   ssvsp::bench::BenchArgs args("bench_transport [options]",
-                               "E-NET: PerfectLink/URB throughput, "
-                               "retransmission under loss, and real-process "
-                               "consensus latency distributions.",
+                               "E-NET: PerfectLink throughput and "
+                               "retransmission under loss.",
                                /*sweeps=*/false);
   bool smoke = false;
   std::string outPath = "BENCH_transport.json";

@@ -6,8 +6,8 @@
 //   $ ./latency_explorer F_OptFloodSetWS 5 2 --sampled
 //   $ ./latency_explorer A1 3 1 --check           # + exhaustive spec check
 //   $ ./latency_explorer FloodSetWS 3 2 --threads 8
-//   $ ./latency_explorer FloodSet 4 2 --trace-out=trace.json \
-//         --metrics-out=metrics.json --progress=2
+//   $ ./latency_explorer FloodSet 4 2 --progress=2 --trace-out=t.json
+//   $ ./latency_explorer FloodSet 4 2 --metrics-out=metrics.json
 //
 // Prints lat(A), Lat(A), Lambda(A) and Lat(A, f) for f = 0..t, in the
 // algorithm's intended model, and optionally runs the exhaustive model

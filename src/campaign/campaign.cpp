@@ -1,5 +1,6 @@
 #include "campaign/campaign.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -328,51 +329,74 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       }
     }
   } else {
+    // Each worker holds the write end of its own exit pipe, so the read end
+    // hangs up the moment that worker is gone.  The orchestrator then waits
+    // for exactly that pid: a child the caller forked keeps its status.
     struct Running {
       pid_t pid;
       std::size_t index;
+      int exitFd;  ///< read end of the worker's exit pipe
     };
     std::vector<Running> running;
     std::size_t next = 0;
     bool chaosArmed = options.chaosKillShard >= 0;
+    const auto fail = [&](const std::string& what) {
+      for (const Running& r : running) ::close(r.exitFd);
+      result.error = what;
+      return result;
+    };
 
     auto dispatch = [&](std::size_t index) -> bool {
       const bool chaos =
           chaosArmed && static_cast<int>(index) == options.chaosKillShard;
       if (chaos) chaosArmed = false;  // fire once, complete on reassignment
+      int exitPipe[2];
+      if (::pipe(exitPipe) != 0)
+        return setError(&error,
+                        std::string("campaign pipe: ") + std::strerror(errno));
       const pid_t pid = ::fork();
-      if (pid < 0)
+      if (pid < 0) {
+        ::close(exitPipe[0]);
+        ::close(exitPipe[1]);
         return setError(&error,
                         std::string("campaign fork: ") + std::strerror(errno));
-      if (pid == 0) shardWorker(manifest, index, store.get(), options.dir,
-                                chaos);  // never returns
+      }
+      if (pid == 0) {
+        ::close(exitPipe[0]);
+        shardWorker(manifest, index, store.get(), options.dir,
+                    chaos);  // never returns
+      }
+      ::close(exitPipe[1]);
       ++result.workersForked;
-      running.push_back({pid, index});
+      running.push_back({pid, index, exitPipe[0]});
       return true;
     };
 
+    std::vector<pollfd> fds;
     while (next < queue.size() || !running.empty()) {
       while (next < queue.size() &&
              running.size() < static_cast<std::size_t>(options.workers)) {
-        if (!dispatch(queue[next])) {
-          result.error = error;
-          return result;
-        }
+        if (!dispatch(queue[next])) return fail(error);
         ++next;
       }
-      int status = 0;
-      const pid_t pid = ::waitpid(-1, &status, 0);
-      if (pid < 0) {
+      fds.clear();
+      for (const Running& r : running) fds.push_back({r.exitFd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), -1) < 0) {
         if (errno == EINTR) continue;
-        result.error = std::string("campaign waitpid: ") +
-                       std::strerror(errno);
-        return result;
+        return fail(std::string("campaign poll: ") + std::strerror(errno));
       }
-      auto it = running.begin();
-      while (it != running.end() && it->pid != pid) ++it;
-      if (it == running.end()) continue;  // not ours
-      const std::size_t index = it->index;
-      running.erase(it);
+      std::size_t k = 0;
+      while (k < fds.size() && fds[k].revents == 0) ++k;
+      if (k == fds.size()) continue;
+      const Running exited = running[k];
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(k));
+      ::close(exited.exitFd);
+      int status = 0;
+      while (::waitpid(exited.pid, &status, 0) < 0)
+        if (errno != EINTR)
+          return fail(std::string("campaign waitpid: ") +
+                      std::strerror(errno));
+      const std::size_t index = exited.index;
 
       const std::string rpath =
           shardResultPath(options.dir, manifest.shards[index].range);
@@ -380,10 +404,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
         std::optional<ShardResult> shard = shardResultFromFile(rpath, &error);
         if (shard) {
-          if (!recordDone(index, std::move(*shard))) {
-            result.error = error;
-            return result;
-          }
+          if (!recordDone(index, std::move(*shard))) return fail(error);
           std::remove(rpath.c_str());
           recorded = true;
         }

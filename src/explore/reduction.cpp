@@ -287,19 +287,6 @@ void SweepRunStats::publish(obs::MetricsRegistry& registry) const {
   registry.counter("sweep.memo_misses").add(runsRequested - runsFromMemo);
 }
 
-SweepRunStats SweepRunStats::fromRegistry(
-    const obs::MetricsSnapshot& snapshot) {
-  SweepRunStats s;
-  s.runsRequested = snapshot.value("sweep.runs_requested");
-  s.runsFromMemo = snapshot.value("sweep.runs_from_memo");
-  s.runsExecuted = snapshot.value("sweep.runs_executed");
-  s.runsReusedInEngine = snapshot.value("sweep.runs_reused_in_engine");
-  s.roundsExecuted = snapshot.value("sweep.rounds_executed");
-  s.roundsResumed = snapshot.value("sweep.rounds_resumed");
-  s.memoEntries = snapshot.value("sweep.memo_entries");
-  return s;
-}
-
 void SweepRunStats::toJson(JsonWriter& w) const {
   w.beginObject();
   w.kv("schema", kReportSchemaV1);

@@ -249,11 +249,8 @@ class PairCanonicalizer {
 /// reports stay bit-identical across reduction modes and thread counts,
 /// while these numbers legitimately vary with both.
 ///
-/// The struct is a view over the obs metrics registry: sweeps publish()
-/// their aggregated totals under the sweep.* counter names at sweep end,
-/// and fromRegistry() reconstructs the struct from a MetricsSnapshot, so
-/// existing callers keep their plain-struct API while --metrics-out and the
-/// exporters see the same numbers.
+/// Sweeps publish() their aggregated totals under the sweep.* counter names
+/// at sweep end, so --metrics-out and the exporters see the same numbers.
 struct SweepRunStats {
   std::int64_t runsRequested = 0;  ///< (script, config) pairs visited
   std::int64_t runsFromMemo = 0;   ///< served by a memoized summary
@@ -269,10 +266,6 @@ struct SweepRunStats {
   /// sweep.memo_hits / sweep.memo_misses pair.  Called once per sweep on
   /// the aggregated totals (counters accumulate across sweeps).
   void publish(obs::MetricsRegistry& registry) const;
-
-  /// Inverse of publish() over a snapshot: the sweep.* counter values as a
-  /// struct (absent names read as 0).
-  static SweepRunStats fromRegistry(const obs::MetricsSnapshot& snapshot);
 
   /// Versioned wire form (schema ssvsp.report.v1, kind "sweep_run_stats") —
   /// how bench_sweep_reduction and the campaign manifest persist counters.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -376,6 +377,35 @@ TEST_F(CampaignTest, KilledWorkerCampaignMatchesInMemorySweepBitForBit) {
       algorithmByName(spec.algorithm).factory, RoundConfig{spec.n, spec.t},
       manifest->model, whole);
   EXPECT_EQ(fromCampaign.report.toJsonString(), inMemory.toJsonString());
+}
+
+/// The orchestrator reaps only the workers it forked: a child of the caller
+/// that exited before the campaign started keeps its exit status.
+TEST_F(CampaignTest, ForeignChildKeepsItsExitStatus) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(7);
+  // Wait until the child is a zombie, without reaping it.
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(child), &info,
+                     WEXITED | WNOWAIT),
+            0);
+
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 2;
+  const CampaignResult result = runCampaign(spec, options);
+  EXPECT_TRUE(result.ok) << result.error;
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 7);
 }
 
 TEST_F(CampaignTest, ResumeRerunsOnlyPendingShardsAndMatches) {

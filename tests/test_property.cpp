@@ -117,7 +117,9 @@ TEST_P(ValueSetModel, MatchesStdSetOnTheFullDomain) {
     const auto check = [&] {
       EXPECT_EQ(s.size(), static_cast<int>(model.size()));
       EXPECT_EQ(s.empty(), model.empty());
-      if (!model.empty()) EXPECT_EQ(s.min(), *model.begin());
+      if (!model.empty()) {
+        EXPECT_EQ(s.min(), *model.begin());
+      }
       EXPECT_EQ(std::vector<Value>(s.begin(), s.end()),
                 std::vector<Value>(model.begin(), model.end()));
       for (Value v = 0; v < kMaxPackedValue + 1; ++v)
