@@ -46,8 +46,8 @@ LinkRun runLinkPair(std::int64_t count, const FaultSpec* faults) {
   LinkRun out;
   out.messages = count;
   std::string error;
-  auto ta = UdpTransport::bind(0, &error);
-  auto tb = UdpTransport::bind(0, &error);
+  auto ta = UdpTransport::bind(&error);
+  auto tb = UdpTransport::bind(&error);
   SSVSP_CHECK_MSG(ta != nullptr && tb != nullptr, "bind: " << error);
   const std::vector<Endpoint> peers{ta->localEndpoint(), tb->localEndpoint()};
   ta->setPeers(peers);

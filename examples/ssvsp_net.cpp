@@ -2,7 +2,6 @@
 //
 //   ssvsp_net launch --algo NAME --n N --t T [--values V,V,...] [options]
 //   ssvsp_net replay <scenario.txt> [options]
-//   ssvsp_net run-node <algorithm> --self=I --peers=EP,EP,... --value=V ...
 //
 // `launch` runs one consensus instance as n forked node processes on UDP
 // loopback and checks the verdict: uniform agreement, validity, termination,
@@ -11,8 +10,6 @@
 // crashes become real SIGKILLs at the scripted round — after a lint
 // preflight (L311: crash beyond the replayable horizon is a hard reject;
 // L312: pendings are advisory, the network schedules arrivals).
-// `run-node` runs a single node against an explicit peer list, for manual
-// multi-terminal (or multi-host) experiments.
 
 #include <cstdio>
 #include <fstream>
@@ -117,10 +114,14 @@ int reportVerdict(const LaunchResult& result) {
                   o.reportError.c_str());
       continue;
     }
-    std::printf("  node %d: decided %d in round %d  (rounds=%d, "
+    const std::string outcome =
+        o.report.decided ? "decided " + std::to_string(o.report.decision) +
+                               " in round " +
+                               std::to_string(o.report.decisionRound)
+                         : std::string("undecided");
+    std::printf("  node %d: %s  (rounds=%d, "
                 "retransmits=%lld, late=%lld, suspectedFinal=%#llx)\n",
-                o.node, o.report.decision, o.report.decisionRound,
-                o.report.roundsCompleted,
+                o.node, outcome.c_str(), o.report.roundsCompleted,
                 static_cast<long long>(o.report.link.retransmits),
                 static_cast<long long>(o.report.lateDeliveries),
                 static_cast<unsigned long long>(o.report.suspectedFinal));
@@ -245,123 +246,12 @@ int cmdReplay(int argc, char** argv) {
   return reportVerdict(launchCluster(spec));
 }
 
-int cmdRunNode(int argc, char** argv) {
-  std::string algo, peersText, sendToText, report, fdName = "P";
-  int self = -1, t = -1, value = 0, maxRounds = 0, crashRound = 0;
-  std::int64_t timeoutMs = 200, periodMs = 20, deadlineMs = 30000;
-  ArgSpec args(
-      "ssvsp_net run-node <algorithm> --self=I --peers=EP,EP,... --value=V "
-      "--t=T [options]",
-      "Run ONE node against an explicit peer list (manual clusters; "
-      "endpoint i must be this node's own when i == --self).");
-  args.positional("algorithm", &algo, "registry name (case-insensitive)")
-      .value("self", &self, "this node's index into --peers")
-      .value("peers", &peersText,
-             "comma-separated host:port for every node, in index order")
-      .value("value", &value, "initial proposal")
-      .value("t", &t, "crash-resilience bound")
-      .value("max-rounds", &maxRounds, "rounds to run (default t+2)")
-      .value("crash-round", &crashRound,
-             "halt during this round (0 = never; for crash experiments)")
-      .value("crash-sendto", &sendToText,
-             "all, none or id,id,... — crash-round broadcast subset")
-      .value("report", &report, "write the report JSON here (default stdout)")
-      .value("timeout-ms", &timeoutMs, "FD suspicion timeout")
-      .value("period-ms", &periodMs, "heartbeat period")
-      .value("fd", &fdName, "P or diamond-P")
-      .value("deadline-ms", &deadlineMs, "wall-clock stop");
-  args.parse(&argc, argv);
-
-  const AlgorithmEntry* entry = findAlgorithmInsensitive(algo);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "ssvsp_net run-node: unknown algorithm '%s'\n",
-                 algo.c_str());
-    printRegistry();
-    return 2;
-  }
-  std::vector<Endpoint> peers;
-  {
-    std::stringstream ss(peersText);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      Endpoint ep;
-      if (!parseEndpoint(item, &ep)) {
-        std::fprintf(stderr, "ssvsp_net run-node: bad endpoint '%s'\n",
-                     item.c_str());
-        return 2;
-      }
-      peers.push_back(ep);
-    }
-  }
-  const int n = static_cast<int>(peers.size());
-  if (n < 1 || n > kMaxProcs || self < 0 || self >= n || t < 0 || t >= n) {
-    std::fprintf(stderr, "ssvsp_net run-node: need --peers (1..%d entries), "
-                         "--self in range and 0 <= t < n\n", kMaxProcs);
-    return 2;
-  }
-
-  NodeOptions options;
-  options.self = self;
-  options.cfg = RoundConfig{n, t};
-  options.initial = value;
-  options.maxRounds = maxRounds;
-  options.algo = entry->name;
-  options.heartbeat.timeoutMs = timeoutMs;
-  options.heartbeat.periodMs = periodMs;
-  options.deadlineMs = deadlineMs;
-  if (!parseFdMode(fdName, &options.heartbeat.mode)) {
-    std::fprintf(stderr, "ssvsp_net run-node: unknown --fd '%s'\n",
-                 fdName.c_str());
-    return 2;
-  }
-  if (crashRound > 0) {
-    options.crashPlan.round = crashRound;
-    if (sendToText.empty() || sendToText == "none") {
-      // empty set
-    } else if (sendToText == "all") {
-      options.crashPlan.sendTo = ProcessSet::full(n);
-    } else {
-      std::stringstream ss(sendToText);
-      std::string item;
-      while (std::getline(ss, item, ','))
-        options.crashPlan.sendTo.insert(std::atoi(item.c_str()));
-    }
-  }
-
-  std::string error;
-  auto transport = UdpTransport::bind(peers[static_cast<std::size_t>(self)].port,
-                                      &error);
-  if (transport == nullptr) {
-    std::fprintf(stderr, "ssvsp_net run-node: %s\n", error.c_str());
-    return 1;
-  }
-  transport->setPeers(peers);
-
-  SteadyClock clock;
-  NetNode node(*transport, entry->factory(self), options, clock);
-  const NodeReport nodeReport = node.run();
-  const std::string json = nodeReport.toJson();
-  if (report.empty()) {
-    std::printf("%s\n", json.c_str());
-  } else {
-    std::ofstream out(report, std::ios::binary | std::ios::trunc);
-    out << json << "\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "ssvsp_net run-node: cannot write '%s'\n",
-                   report.c_str());
-      return 1;
-    }
-  }
-  return nodeReport.decided || node.status() == NetNode::Status::kHalted ? 0
-                                                                         : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: ssvsp_net <launch|replay|run-node> ...\n"
+                 "usage: ssvsp_net <launch|replay> ...\n"
                  "       (each subcommand takes --help)\n");
     return 2;
   }
@@ -369,7 +259,6 @@ int main(int argc, char** argv) {
   argv[1] = argv[0];
   if (cmd == "launch") return cmdLaunch(argc - 1, argv + 1);
   if (cmd == "replay") return cmdReplay(argc - 1, argv + 1);
-  if (cmd == "run-node") return cmdRunNode(argc - 1, argv + 1);
   std::fprintf(stderr, "ssvsp_net: unknown subcommand '%s'\n", cmd.c_str());
   return 2;
 }

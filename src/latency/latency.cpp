@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "rounds/adversary.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/serde.hpp"
 
 namespace ssvsp {
 
@@ -29,51 +27,6 @@ std::string LatencyProfile::toString() const {
     os << " Lat(f<=" << f << ")=" << fmt(worst);
   os << " runs=" << runsExecuted;
   return os.str();
-}
-
-void LatencyProfile::toJson(JsonWriter& w) const {
-  w.beginObject();
-  w.kv("schema", kReportSchemaV1);
-  w.kv("kind", "latency_profile");
-  w.key("lat");
-  writeJsonRound(w, lat);
-  w.key("lat_max");
-  writeJsonRound(w, latMax);
-  w.key("lambda");
-  writeJsonRound(w, lambda);
-  w.key("lat_by_max_crashes");
-  writeJsonLatencyMap(w, latByMaxCrashes);
-  w.kv("runs_executed", runsExecuted);
-  w.endObject();
-}
-
-std::string LatencyProfile::toJsonString() const {
-  std::ostringstream os;
-  JsonWriter w(os);
-  toJson(w);
-  return os.str();
-}
-
-std::optional<LatencyProfile> LatencyProfile::fromJson(const JsonValue& doc,
-                                                       std::string* error) {
-  if (!checkJsonEnvelope(doc, kReportSchemaV1, "latency_profile", error))
-    return std::nullopt;
-  LatencyProfile profile;
-  const JsonValue* lat = doc.find("lat");
-  const JsonValue* latMax = doc.find("lat_max");
-  const JsonValue* lambda = doc.find("lambda");
-  const bool ok =
-      lat != nullptr && readJsonRound(*lat, &profile.lat) &&
-      latMax != nullptr && readJsonRound(*latMax, &profile.latMax) &&
-      lambda != nullptr && readJsonRound(*lambda, &profile.lambda) &&
-      readJsonLatencyMap(doc.find("lat_by_max_crashes"),
-                         &profile.latByMaxCrashes) &&
-      readJsonI64(doc.find("runs_executed"), &profile.runsExecuted);
-  if (!ok) {
-    if (error != nullptr) *error = "latency_profile: bad fields";
-    return std::nullopt;
-  }
-  return profile;
 }
 
 namespace {

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "consensus/registry.hpp"
@@ -34,9 +33,6 @@
 #include "rounds/engine.hpp"
 
 namespace ssvsp {
-
-class JsonWriter;  // util/serde.hpp
-struct JsonValue;  // util/serde.hpp
 
 /// ExploreSpec plus the analyzer's sampling knobs.  The sweep fields
 /// (`enumeration`, `valueDomain`, `horizonSlack`, `seed`, `threads`, ...)
@@ -58,16 +54,6 @@ struct LatencyProfile {
   std::int64_t runsExecuted = 0;
 
   std::string toString() const;
-
-  /// Versioned wire form (schema ssvsp.report.v1, kind "latency_profile").
-  /// kNoRound is encoded as JSON null.  NOTE: unlike McReport, a profile is
-  /// NOT shard-mergeable — latByMaxCrashes is already monotone-accumulated
-  /// and latMax needs per-config minima the profile no longer carries — so
-  /// the campaign layer persists whole-sweep profiles only.
-  void toJson(JsonWriter& w) const;
-  std::string toJsonString() const;
-  static std::optional<LatencyProfile> fromJson(const JsonValue& doc,
-                                                std::string* error = nullptr);
 };
 
 /// The canonical sweep for profiling `entry` at `cfg`: horizon t + 2 (every

@@ -403,17 +403,13 @@ bool parseSweepSpecText(const std::string& text, RoundConfig* cfg,
       } else if (key == "maxScripts") {
         spec->enumeration.maxScripts = std::stoll(value);
       } else if (key == "reduction") {
-        if (value == "none") {
-          spec->reduction = Reduction::kNone;
-        } else if (value == "symmetry") {
-          spec->reduction = Reduction::kSymmetry;
-        } else if (value == "symmetry_por") {
-          spec->reduction = Reduction::kSymmetryPor;
-        } else {
+        const std::optional<Reduction> reduction = reductionFromString(value);
+        if (!reduction.has_value()) {
           *problem = "unknown reduction '" + value +
                      "' (want none, symmetry or symmetry_por)";
           return false;
         }
+        spec->reduction = *reduction;
       } else if (key == "domain") {
         spec->valueDomain = std::stoi(value);
       } else if (key == "threads") {

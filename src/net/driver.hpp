@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "emul/round_buffer.hpp"
-#include "net/urb.hpp"
+#include "net/link.hpp"
 #include "rounds/round_automaton.hpp"
 #include "util/process_set.hpp"
 
@@ -46,7 +46,7 @@ class RwsFromSpDriver {
                   PerfectLink& link, CrashPlan plan = {});
 
   /// Feeds one link delivery.  Returns true if it was a round message
-  /// (consumed); false hands it back (URB traffic).
+  /// (consumed); false hands it back (the node's DONE messages).
   bool onPayload(ProcessId from, std::string_view payload);
 
   /// Runs the emulation forward as far as the receive guard allows under

@@ -132,7 +132,7 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
   std::vector<std::unique_ptr<UdpTransport>> sockets;
   std::vector<Endpoint> peers;
   for (ProcessId p = 0; p < n; ++p) {
-    auto s = UdpTransport::bind(0, &error);
+    auto s = UdpTransport::bind(&error);
     if (s == nullptr) {
       fail("bind node " + std::to_string(p) + ": " + error);
       return result;
@@ -140,7 +140,7 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
     peers.push_back(s->localEndpoint());
     sockets.push_back(std::move(s));
   }
-  auto control = UdpTransport::bind(0, &error);
+  auto control = UdpTransport::bind(&error);
   if (control == nullptr) {
     fail("bind control: " + error);
     return result;

@@ -43,7 +43,13 @@ enum class WireKind : std::uint8_t {
   kAck = 2,        ///< PerfectLink ack:  src u32 | seq u64
   kHeartbeat = 3,  ///< raw FD heartbeat: src u32 (not link-mediated)
   kProgress = 4,   ///< control plane: node -> harness round progress
-  kReport = 5,     ///< control plane: node -> harness final report
+};
+
+/// First byte of every PerfectLink payload: the channel above the link the
+/// message belongs to.
+enum class ChannelKind : std::uint8_t {
+  kRound = 1,  ///< RwsFromSpDriver round message
+  kDone = 3,   ///< NetNode exit handshake: this one byte, nothing else
 };
 
 struct LinkStats {

@@ -9,25 +9,6 @@ namespace ssvsp::net {
 
 namespace {
 
-/// URB body announcing this node's irrevocable decision.
-std::string frameDecided(ProcessId self, Value value, Round round) {
-  std::string out;
-  RecordWriter w(out);
-  w.putU32(static_cast<std::uint32_t>(self));
-  w.putI32(value);
-  w.putI32(round);
-  return out;
-}
-
-bool parseDecided(std::string_view body, ProcessId* who, Value* value,
-                  Round* round) {
-  RecordReader r(body);
-  *who = static_cast<ProcessId>(r.getU32());
-  *value = r.getI32();
-  *round = r.getI32();
-  return r.ok() && r.exhausted();
-}
-
 /// Link payload announcing that the sender is done (see node.hpp, Exit).
 std::string frameDone() {
   std::string out;
@@ -57,19 +38,12 @@ NetNode::NetNode(UdpTransport& transport,
       clock_(clock),
       options_(options),
       link_(transport, options.self, options.cfg.n, options.link),
-      urb_(link_, options.self, options.cfg.n),
       monitor_(options.self, options.cfg.n, options.heartbeat, clock.nowMs()),
       driver_(std::move(automaton), options.cfg, options.self,
               options.initial, deriveMaxRounds(options), link_,
               options.crashPlan),
-      peerDecisions_(static_cast<std::size_t>(options.cfg.n), kUndecided),
       startedAt_(clock.nowMs()) {
   SSVSP_CHECK(static_cast<int>(transport.peers().size()) == options.cfg.n);
-}
-
-Value NetNode::peerDecision(ProcessId q) const {
-  SSVSP_CHECK(q >= 0 && q < options_.cfg.n);
-  return peerDecisions_[static_cast<std::size_t>(q)];
 }
 
 void NetNode::sendControl(ProgressKind kind, std::int32_t arg) {
@@ -112,14 +86,11 @@ NetNode::Status NetNode::step() {
     link_.onDatagram(from, bytes, now);
   }
 
-  // Refresh the failure detector and push it into the layers that gate on
-  // it (URB delivery, the driver's receive guard).
+  // Refresh the failure detector; the driver's receive guard gates on it.
   const ProcessSet suspected = monitor_.suspected(now);
-  urb_.updateSuspected(suspected);
 
-  // Demultiplex link deliveries: URB relays, round messages, DONE.
+  // Demultiplex link deliveries: round messages, DONE.
   for (const auto& d : link_.drainDeliveries()) {
-    if (urb_.onPayload(d.src, d.payload)) continue;
     if (driver_.onPayload(d.src, d.payload)) continue;
     if (isDone(d.payload)) donePeers_.insert(d.src);
   }
@@ -128,8 +99,6 @@ NetNode::Status NetNode::step() {
 
   if (!decideAnnounced_ && driver_.decision().has_value()) {
     decideAnnounced_ = true;
-    urb_.broadcast(frameDecided(options_.self, *driver_.decision(),
-                                driver_.decisionRound()));
     sendControl(ProgressKind::kDecided, driver_.decisionRound());
   }
 
@@ -144,24 +113,12 @@ NetNode::Status NetNode::step() {
     return status_;
   }
 
-  for (const auto& d : urb_.drainDeliveries()) {
-    ProcessId who = kNoProcess;
-    Value value = kUndecided;
-    Round round = kNoRound;
-    if (!parseDecided(d.body, &who, &value, &round)) continue;
-    if (who < 0 || who >= options_.cfg.n) continue;
-    decided_.insert(who);
-    peerDecisions_[static_cast<std::size_t>(who)] = value;
-  }
-
-  const ProcessSet everyone = ProcessSet::full(options_.cfg.n);
-  if (status_ == Status::kRunning && driver_.finished() &&
-      everyone.isSubsetOf(decided_ | suspected))
-    becomeDone(now);
+  if (status_ == Status::kRunning && driver_.finished()) becomeDone(now);
 
   if (monitor_.heartbeatDue(now)) broadcastHeartbeat();
   link_.pump(now);  // after becomeDone, so the DONEs leave before any exit
 
+  const ProcessSet everyone = ProcessSet::full(options_.cfg.n);
   if (status_ == Status::kDone &&
       everyone.isSubsetOf(donePeers_ | suspected |
                           ProcessSet::single(options_.self)))
@@ -222,7 +179,6 @@ NodeReport NetNode::report() const {
   for (const ProcessSet& heard : driver_.heardPerRound())
     r.heardMasks.push_back(heard.mask());
   r.link = link_.stats();
-  r.urb = urb_.stats();
   r.fd = monitor_.stats();
   r.wallMs = endedAt - startedAt_;
   return r;
@@ -265,11 +221,6 @@ std::string NodeReport::toJson() const {
   w.kv("delivered", link.delivered);
   w.kv("duplicatesDropped", link.duplicatesDropped);
   w.kv("wouldBlocks", link.wouldBlocks);
-  w.endObject();
-  w.key("urb").beginObject();
-  w.kv("broadcasts", urb.broadcasts);
-  w.kv("relays", urb.relays);
-  w.kv("delivered", urb.delivered);
   w.endObject();
   w.key("fd").beginObject();
   w.kv("heartbeatsSent", fd.heartbeatsSent);
@@ -340,10 +291,9 @@ bool NodeReport::fromJson(const std::string& text, NodeReport* out,
     r.heardMasks.push_back(static_cast<std::uint64_t>(v));
   }
   const JsonValue* link = doc->find("link");
-  const JsonValue* urb = doc->find("urb");
   const JsonValue* fd = doc->find("fd");
-  if (link == nullptr || !link->isObject() || urb == nullptr ||
-      !urb->isObject() || fd == nullptr || !fd->isObject())
+  if (link == nullptr || !link->isObject() || fd == nullptr ||
+      !fd->isObject())
     return fail("missing stats objects");
   if (!readJsonI64(link->find("sent"), &r.link.sent) ||
       !readJsonI64(link->find("dataDatagrams"), &r.link.dataDatagrams) ||
@@ -355,10 +305,6 @@ bool NodeReport::fromJson(const std::string& text, NodeReport* out,
                    &r.link.duplicatesDropped) ||
       !readJsonI64(link->find("wouldBlocks"), &r.link.wouldBlocks))
     return fail("missing link stats");
-  if (!readJsonI64(urb->find("broadcasts"), &r.urb.broadcasts) ||
-      !readJsonI64(urb->find("relays"), &r.urb.relays) ||
-      !readJsonI64(urb->find("delivered"), &r.urb.delivered))
-    return fail("missing urb stats");
   if (!readJsonI64(fd->find("heartbeatsSent"), &r.fd.heartbeatsSent) ||
       !readJsonI64(fd->find("heartbeatsReceived"), &r.fd.heartbeatsReceived) ||
       !readJsonI64(fd->find("suspicions"), &r.fd.suspicions) ||

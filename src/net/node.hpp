@@ -1,6 +1,6 @@
 // NetNode: one OS process of the real-transport backend.
 //
-// A node owns the whole per-process stack — UDP socket, PerfectLink, URB,
+// A node owns the whole per-process stack — UDP socket, PerfectLink,
 // HeartbeatMonitor, RwsFromSpDriver — and turns them with a single-threaded
 // event loop.  Two ways to turn it:
 //
@@ -15,21 +15,20 @@
 // Termination: nodes must keep executing rounds after deciding (a decided
 // node that went silent would stall every peer's receive guard, since an
 // accurate P never suspects the living).  So every node runs exactly
-// maxRounds rounds; when it decides it urb-broadcasts a DECIDED record, and
-// it is DONE once it has finished its rounds and urb-delivered a DECIDED
-// from every peer it does not suspect.  URB's uniformity makes that safe:
-// any decision this node saw will be seen by every correct peer.
+// maxRounds rounds, and it is DONE as soon as its driver has run them,
+// decided or not: a node whose automaton never decided reports so, and the
+// harness judges the report.
 //
 // Exit: at the done instant the node freezes its report and sends a
 // one-byte DONE link message (ChannelKind::kDone) to every peer.  It keeps
-// serving as step() does — ingest, ack, relay URB, heartbeat, pump the
-// link — and exits once every peer has announced DONE or is suspected.
+// serving as step() does — ingest, ack, heartbeat, pump the link — and
+// exits once every peer has announced DONE or is suspected.
 //
-//   * Safe: a peer that announced DONE has finished its rounds and has
-//     delivered every DECIDED it was waiting for, so it needs nothing more
-//     from this node; under an accurate P a suspected peer has crashed.  A
-//     node never falls silent on a live, unfinished peer, which could
-//     otherwise time it out and suspect a correct process.
+//   * Safe: a peer that announced DONE has finished its rounds, so it
+//     needs nothing more from this node; under an accurate P a suspected
+//     peer has crashed.  A node never falls silent on a live, unfinished
+//     peer, which could otherwise time it out and suspect a correct
+//     process.
 //   * Terminates: the link retransmits a DONE until it is acked or its
 //     sender exits, and a sender exits only once every peer is DONE or
 //     suspected.  A DONE can therefore go missing only when its sender left
@@ -52,7 +51,6 @@
 
 #include "net/driver.hpp"
 #include "net/heartbeat.hpp"
-#include "net/urb.hpp"
 
 namespace ssvsp::net {
 
@@ -80,7 +78,6 @@ struct NodeReport {
   std::uint64_t suspectedFinal = 0;          ///< ProcessSet mask at done/halt
   std::vector<std::uint64_t> heardMasks;     ///< per round, Lemma 4.1 data
   LinkStats link;
-  UrbStats urb;
   HeartbeatStats fd;
   std::int64_t wallMs = 0;
 
@@ -107,8 +104,8 @@ class NetNode {
   enum class Status : std::uint8_t {
     kRunning,
     kHalted,  ///< crash plan executed; the process must now fall silent
-    kDone,    ///< rounds finished and every unsuspected peer decided; the
-              ///< report is frozen, the node serves peers until kExited
+    kDone,    ///< rounds finished; the report is frozen, the node serves
+              ///< peers until kExited
     kExited,  ///< done, and every peer announced DONE or is suspected
   };
 
@@ -131,14 +128,7 @@ class NetNode {
   NodeReport report() const;
 
   Status status() const { return status_; }
-  const RwsFromSpDriver& driver() const { return driver_; }
   HeartbeatMonitor& monitor() { return monitor_; }
-  UniformReliableBroadcast& urb() { return urb_; }
-  PerfectLink& link() { return link_; }
-  /// Peers whose DECIDED this node has urb-delivered.
-  ProcessSet decidedPeers() const { return decided_; }
-  /// Decision value urb-delivered from `q` (kUndecided if none yet).
-  Value peerDecision(ProcessId q) const;
   /// Peers whose DONE this node has received.
   ProcessSet donePeers() const { return donePeers_; }
 
@@ -151,15 +141,12 @@ class NetNode {
   NetClock& clock_;
   NodeOptions options_;
   PerfectLink link_;
-  UniformReliableBroadcast urb_;
   HeartbeatMonitor monitor_;
   RwsFromSpDriver driver_;
   Status status_ = Status::kRunning;
   bool decideAnnounced_ = false;
   bool timedOut_ = false;
-  ProcessSet decided_;
   ProcessSet donePeers_;
-  std::vector<Value> peerDecisions_;
   NetTime startedAt_ = 0;
   std::optional<NetTime> endedAt_;  ///< done, halt or timeout instant
   std::optional<NodeReport> frozen_;  ///< the report as of kDone

@@ -31,38 +31,7 @@ bool setError(std::string* error, const std::string& what) {
 
 }  // namespace
 
-std::string Endpoint::toString() const {
-  const std::uint32_t ip = ipv4HostOrder;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u:%u", (ip >> 24) & 0xff,
-                (ip >> 16) & 0xff, (ip >> 8) & 0xff, ip & 0xff, port);
-  return buf;
-}
-
-bool parseEndpoint(const std::string& text, Endpoint* out) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos) return false;
-  const std::string host = text.substr(0, colon);
-  const std::string portText = text.substr(colon + 1);
-  if (portText.empty()) return false;
-  char* end = nullptr;
-  const long port = std::strtol(portText.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || port < 1 || port > 65535) return false;
-  Endpoint e;
-  e.port = static_cast<std::uint16_t>(port);
-  if (host.empty() || host == "localhost") {
-    e.ipv4HostOrder = INADDR_LOOPBACK;
-  } else {
-    in_addr addr{};
-    if (::inet_pton(AF_INET, host.c_str(), &addr) != 1) return false;
-    e.ipv4HostOrder = ntohl(addr.s_addr);
-  }
-  *out = e;
-  return true;
-}
-
-std::unique_ptr<UdpTransport> UdpTransport::bind(std::uint16_t port,
-                                                 std::string* error) {
+std::unique_ptr<UdpTransport> UdpTransport::bind(std::string* error) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) {
     setError(error, std::string("socket: ") + std::strerror(errno));
@@ -70,7 +39,6 @@ std::unique_ptr<UdpTransport> UdpTransport::bind(std::uint16_t port,
   }
   Endpoint local;
   local.ipv4HostOrder = INADDR_LOOPBACK;
-  local.port = port;
   sockaddr_in sa = toSockaddr(local);
   if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     setError(error, std::string("bind: ") + std::strerror(errno));

@@ -60,19 +60,13 @@ class Transport {
 struct Endpoint {
   std::uint32_t ipv4HostOrder = 0;  ///< e.g. INADDR_LOOPBACK
   std::uint16_t port = 0;
-
-  std::string toString() const;
 };
-
-/// Parses "a.b.c.d:port" (host part optional: ":port" = loopback).
-bool parseEndpoint(const std::string& text, Endpoint* out);
 
 class UdpTransport : public Transport {
  public:
-  /// Binds a non-blocking UDP socket on 127.0.0.1:`port` (0 = kernel picks).
-  /// Returns null and fills `error` on failure.
-  static std::unique_ptr<UdpTransport> bind(std::uint16_t port,
-                                            std::string* error);
+  /// Binds a non-blocking UDP socket on 127.0.0.1 at a port the kernel
+  /// picks.  Returns null and fills `error` on failure.
+  static std::unique_ptr<UdpTransport> bind(std::string* error);
 
   /// Wraps an already-bound, non-blocking socket fd (ownership taken).
   /// The fork-based launch harness binds every node's socket in the parent

@@ -422,6 +422,9 @@ RoundRunResult runRounds(const RoundConfig& cfg, RoundModel model,
                          const FailureScript& script,
                          const RoundEngineOptions& options) {
   RoundEngine engine(cfg, model, factory, options);
+  // Probed with no checkpoint stride: this engine never resumes, so its one
+  // run snapshots nothing.
+  engine.probed_ = true;
   engine.execute(initial, script);
   return engine.takeResult();
 }

@@ -199,6 +199,13 @@ class RoundEngine {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Runs a single-use engine, which takes no checkpoints.
+  friend RoundRunResult runRounds(const RoundConfig&, RoundModel,
+                                  const RoundAutomatonFactory&,
+                                  const std::vector<Value>&,
+                                  const FailureScript&,
+                                  const RoundEngineOptions&);
+
   void beginFresh(const std::vector<Value>& initial);
   void restore(const RoundCheckpoint& cp);
   void runFrom(Round firstRound, const FailureScript& script);
@@ -234,8 +241,9 @@ class RoundEngine {
 /// Executes one run.  Throws InvariantViolation if the script is not a legal
 /// adversary for the model (see validateScript) or if an automaton violates
 /// decision integrity (changes a made decision).  Equivalent to a
-/// RoundEngine used once; sweep hot paths hold engines instead so automata
-/// and buffers are pooled across runs.
+/// RoundEngine used once, except that it takes no checkpoints: the engine
+/// is discarded after its one run and never resumes.  Sweep hot paths hold
+/// engines instead so automata and buffers are pooled across runs.
 RoundRunResult runRounds(const RoundConfig& cfg, RoundModel model,
                          const RoundAutomatonFactory& factory,
                          const std::vector<Value>& initial,

@@ -325,9 +325,9 @@ std::optional<JsonValue> parseJson(std::string_view text,
 
 // -- typed JSON extraction helpers ------------------------------------------
 //
-// Shared by the versioned report serializers (McReport, LatencyProfile,
-// SweepRunStats — schema "ssvsp.report.v1").  Each reader returns false on
-// a missing member (nullptr) or a kind mismatch, so fromJson bodies read as
+// Shared by the versioned report serializers (McReport, SweepRunStats —
+// schema "ssvsp.report.v1").  Each reader returns false on a missing
+// member (nullptr) or a kind mismatch, so fromJson bodies read as
 // one &&-chain per document.
 
 /// Schema tag of every versioned report document — bump on any

@@ -3,17 +3,15 @@
 //   * PerfectLink's perfect-links axioms (validity, no duplication, no
 //     creation) over real loopback sockets, clean and behind the seeded
 //     drop/duplicate/reorder injector;
-//   * URB's uniformity gate: nobody delivers until ackers ∪ suspected
-//     covers Π, and a killed sender's broadcast still reaches every
-//     survivor exactly once;
 //   * the heartbeat failure detector: P's sticky suspicion and ◇P's
 //     refutation/adaptive timeout against scripted clocks, plus recorded
 //     HeartbeatHistory judged by the src/fd axiom checkers verbatim;
 //   * a full in-process cluster: n NetNodes round-robined on a FakeClock
 //     reach consensus within the analyzer's Lat(A, f), with and without a
 //     scripted crash, and exit on the DONE exchange: within one FD timeout
-//     of the last done node, by suspicion when a DONE is lost, and with
-//     the report frozen at the done instant;
+//     of the last done node, by suspicion when a DONE is lost, with the
+//     report frozen at the done instant, and also when a node's automaton
+//     never decides (a node is done once it has run its rounds);
 //   * a malformed DONE link message is ignored;
 //   * RwsFromSpDriver keeps the first copy of a duplicate round frame, also
 //     one re-sent after the original was consumed;
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "analysis/abstract_interp.hpp"
+#include "consensus/floodset.hpp"
 #include "consensus/registry.hpp"
 #include "fd/axioms.hpp"
 #include "net/driver.hpp"
@@ -47,7 +46,7 @@ std::vector<std::unique_ptr<UdpTransport>> boundFleet(int n) {
   std::vector<Endpoint> peers;
   for (int i = 0; i < n; ++i) {
     std::string error;
-    auto t = UdpTransport::bind(0, &error);
+    auto t = UdpTransport::bind(&error);
     EXPECT_NE(t, nullptr) << error;
     peers.push_back(t->localEndpoint());
     fleet.push_back(std::move(t));
@@ -134,59 +133,6 @@ TEST(PerfectLinkTest, ExactlyOnceUnderDropDuplicateReorder) {
   EXPECT_GT(lossy.dropped(), 0) << "injector inert: test proves nothing";
   EXPECT_GT(a.stats().retransmits, 0);
   EXPECT_GT(b.stats().duplicatesDropped, 0);
-}
-
-TEST(UrbTest, UniformityGateAndKilledSenderAgreement) {
-  auto fleet = boundFleet(3);
-  PerfectLink link0(*fleet[0], 0, 3);
-  PerfectLink link1(*fleet[1], 1, 3);
-  PerfectLink link2(*fleet[2], 2, 3);
-  UniformReliableBroadcast urb0(link0, 0, 3);
-  UniformReliableBroadcast urb1(link1, 1, 3);
-  UniformReliableBroadcast urb2(link2, 2, 3);
-  FakeClock clock;
-
-  // p0 broadcasts and "crashes": its relay reaches p1 but the copy to p2
-  // is lost with it (we discard p2's inbound and never pump link0 again).
-  urb0.broadcast("the-payload");
-  link0.pump(clock.nowMs());
-  std::string bytes;
-  ProcessId from = kNoProcess;
-  while (fleet[2]->tryRecv(&bytes, &from)) {
-  }  // datagram from p0 to p2: lost in the crash
-
-  const auto pumpSurvivors = [&] {
-    clock.advance(5);
-    const NetTime now = clock.nowMs();
-    for (int i = 1; i <= 2; ++i) {
-      PerfectLink& link = i == 1 ? link1 : link2;
-      UniformReliableBroadcast& urb = i == 1 ? urb1 : urb2;
-      while (fleet[i]->tryRecv(&bytes, &from))
-        if (link.onDatagram(from, bytes, now))
-          for (const auto& d : link.drainDeliveries())
-            urb.onPayload(d.src, d.payload);
-      link.pump(now);
-    }
-  };
-  for (int iter = 0; iter < 200; ++iter) pumpSurvivors();
-
-  // p1 heard p0's own relay plus p2's: ackers cover Π, it delivers.  p2
-  // heard only itself and p1 — without suspecting p0 the uniformity gate
-  // must hold the message back.
-  const auto d1 = urb1.drainDeliveries();
-  ASSERT_EQ(d1.size(), 1u);
-  EXPECT_EQ(d1[0].origin, 0);
-  EXPECT_EQ(d1[0].body, "the-payload");
-  EXPECT_TRUE(urb2.drainDeliveries().empty())
-      << "p2 delivered before ackers ∪ suspected covered Π";
-
-  // The failure detector catches up: suspecting p0 completes p2's gate.
-  urb2.updateSuspected(ProcessSet::single(0));
-  const auto d2 = urb2.drainDeliveries();
-  ASSERT_EQ(d2.size(), 1u);
-  EXPECT_EQ(d2[0].origin, 0);
-  EXPECT_EQ(d2[0].body, "the-payload");
-  EXPECT_EQ(urb2.stats().delivered, 1);
 }
 
 TEST(HeartbeatTest, PerfectModeSuspicionIsSticky) {
@@ -336,12 +282,18 @@ struct ClusterRun {
 
 /// One NetNode of `algo` per socket of `fleet`, all on `clock`, with a
 /// 5 ms heartbeat and the kClusterFdTimeoutMs timeout; p0 follows `crash0`.
+/// The automata come from `factory` when one is given, else from the
+/// registry entry `algo`.
 std::vector<std::unique_ptr<NetNode>> makeCluster(
     const std::string& algo, RoundConfig cfg, const std::vector<Value>& values,
     const CrashPlan& crash0,
-    std::vector<std::unique_ptr<UdpTransport>>& fleet, FakeClock& clock) {
-  const AlgorithmEntry* entry = findAlgorithm(algo);
-  EXPECT_NE(entry, nullptr);
+    std::vector<std::unique_ptr<UdpTransport>>& fleet, FakeClock& clock,
+    RoundAutomatonFactory factory = {}) {
+  if (!factory) {
+    const AlgorithmEntry* entry = findAlgorithm(algo);
+    EXPECT_NE(entry, nullptr);
+    factory = entry->factory;
+  }
   std::vector<std::unique_ptr<NetNode>> nodes;
   for (ProcessId p = 0; p < cfg.n; ++p) {
     NodeOptions options;
@@ -352,8 +304,8 @@ std::vector<std::unique_ptr<NetNode>> makeCluster(
     if (p == 0) options.crashPlan = crash0;
     options.heartbeat.periodMs = 5;
     options.heartbeat.timeoutMs = kClusterFdTimeoutMs;
-    nodes.push_back(std::make_unique<NetNode>(
-        *fleet[p], entry->factory(p), options, clock));
+    nodes.push_back(
+        std::make_unique<NetNode>(*fleet[p], factory(p), options, clock));
   }
   return nodes;
 }
@@ -364,10 +316,12 @@ std::vector<std::unique_ptr<NetNode>> makeCluster(
 /// the reports are read.
 ClusterRun runInProcessCluster(const std::string& algo, RoundConfig cfg,
                                const std::vector<Value>& values,
-                               const CrashPlan& crash0) {
+                               const CrashPlan& crash0,
+                               RoundAutomatonFactory factory = {}) {
   auto fleet = boundFleet(cfg.n);
   FakeClock clock;
-  const auto nodes = makeCluster(algo, cfg, values, crash0, fleet, clock);
+  const auto nodes =
+      makeCluster(algo, cfg, values, crash0, fleet, clock, std::move(factory));
 
   ClusterRun run;
   run.exitedAt.assign(nodes.size(), -1);
@@ -455,6 +409,37 @@ TEST(NetNodeTest, ScriptedCrashSurvivorsAgreeWithinLatAndSuspectOnlyIt) {
   }
 }
 
+/// FloodSetWS that runs and sends as usual but never shows a decision.
+class NeverDecidingFloodSetWs : public FloodSet {
+ public:
+  NeverDecidingFloodSetWs() : FloodSet(/*useHaltSet=*/true) {}
+  std::optional<Value> decision() const override { return std::nullopt; }
+};
+
+TEST(NetNodeTest, UndecidedNodeIsDoneAfterItsRoundsAndNobodyWaitsForIt) {
+  // p1's automaton runs all its rounds without deciding.  It is done all
+  // the same, so every node exits on the DONE exchange, not on a deadline,
+  // and p1's report says that it did not decide.
+  const RoundConfig cfg{4, 2};
+  const RoundAutomatonFactory floodSetWs = findAlgorithm("FloodSetWS")->factory;
+  const ClusterRun run = runInProcessCluster(
+      "FloodSetWS", cfg, {0, 1, 1, 0}, CrashPlan{},
+      [&](ProcessId p) -> std::unique_ptr<RoundAutomaton> {
+        if (p == 1) return std::make_unique<NeverDecidingFloodSetWs>();
+        return floodSetWs(p);
+      });
+
+  ASSERT_EQ(run.reports.size(), 4u);
+  for (std::size_t p = 0; p < run.reports.size(); ++p) {
+    const NodeReport& r = run.reports[p];
+    ASSERT_GE(run.exitedAt[p], 0) << "p" << p << " never exited";
+    EXPECT_EQ(run.suspicionsAtExit[p], 0) << "p" << p << " exited by suspicion";
+    EXPECT_EQ(r.roundsCompleted, cfg.t + 2) << "p" << p;
+    EXPECT_FALSE(r.timedOut) << "p" << p;
+    EXPECT_EQ(r.decided, p != 1) << "p" << p;
+  }
+}
+
 TEST(NetNodeTest, LostDoneEndsTheWaitBySuspicionAndLeavesTheReportAlone) {
   // p1 exits after p0's DONE reaches it, but p1's own DONE to p0 is lost
   // and p1 is gone before the link retransmits it.  p0 must still exit,
@@ -467,12 +452,13 @@ TEST(NetNodeTest, LostDoneEndsTheWaitBySuspicionAndLeavesTheReportAlone) {
   NetNode& p0 = *nodes[0];
   NetNode& p1 = *nodes[1];
 
-  // Round-robin until p0 is done; then only p1 runs, until it exits.
+  // Round-robin, p1 first so that p0 finishes its rounds first, until p0
+  // is done; then only p1 runs, until it exits.
   for (int iter = 0; iter < 1000 && p0.status() == NetNode::Status::kRunning;
        ++iter) {
     clock.advance(2);
+    p1.step();
     p0.step();
-    if (p0.status() == NetNode::Status::kRunning) p1.step();
   }
   ASSERT_EQ(p0.status(), NetNode::Status::kDone);
   for (int iter = 0; iter < 1000 && p1.status() != NetNode::Status::kExited;
@@ -648,8 +634,6 @@ TEST(NodeReportTest, JsonRoundTrip) {
   report.heardMasks = {0xF, 0xE, 0xE, 0xE};
   report.link.sent = 123;
   report.link.retransmits = 4;
-  report.urb.broadcasts = 1;
-  report.urb.delivered = 3;
   report.fd.heartbeatsSent = 55;
   report.fd.suspicions = 1;
   report.wallMs = 321;
@@ -670,8 +654,6 @@ TEST(NodeReportTest, JsonRoundTrip) {
   EXPECT_EQ(back.heardMasks, report.heardMasks);
   EXPECT_EQ(back.link.sent, report.link.sent);
   EXPECT_EQ(back.link.retransmits, report.link.retransmits);
-  EXPECT_EQ(back.urb.broadcasts, report.urb.broadcasts);
-  EXPECT_EQ(back.urb.delivered, report.urb.delivered);
   EXPECT_EQ(back.fd.heartbeatsSent, report.fd.heartbeatsSent);
   EXPECT_EQ(back.fd.suspicions, report.fd.suspicions);
   EXPECT_EQ(back.wallMs, report.wallMs);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/abstract_interp.hpp"
+#include "consensus/floodset.hpp"
 #include "consensus/registry.hpp"
 #include "explore/reduction.hpp"
 #include "indep/independence.hpp"
@@ -251,6 +252,44 @@ TEST(RoundEngineResume, CheckpointResumeFiresOnDivergenceOrderedStream) {
   });
   EXPECT_GT(engine.stats().roundsResumed, 0);
   EXPECT_GT(engine.stats().runsExecuted, 0);
+}
+
+/// FloodSet that counts the snapshots the engine takes of it: stateBytes
+/// calls with an output buffer, summed over every instance into *writes.
+/// The counter pointer is fixed at construction, not round state, so the
+/// subclass may vouch for the inherited bytes as its own.
+class SnapshotCountingFloodSet : public FloodSet {
+ public:
+  explicit SnapshotCountingFloodSet(int* writes)
+      : FloodSet(/*useHaltSet=*/false), writes_(writes) {}
+  std::size_t stateBytes(std::byte* out) const override {
+    if (out != nullptr) ++*writes_;
+    return FloodSet::stateBytes(out);
+  }
+  const std::type_info* stateBytesType() const override {
+    return &typeid(SnapshotCountingFloodSet);
+  }
+
+ private:
+  int* writes_;
+};
+
+TEST(RoundEngineResume, SingleUseRunRoundsTakesNoCheckpoints) {
+  // runRounds' engine runs once and is discarded, so it snapshots nothing;
+  // a pooled engine on the same factory still checkpoints.
+  int writes = 0;
+  const RoundAutomatonFactory factory = [&writes](ProcessId) {
+    return std::make_unique<SnapshotCountingFloodSet>(&writes);
+  };
+  const RoundConfig cfg = cfgOf(3, 2);
+  const RoundEngineOptions eo = engineOptionsFor(cfg);
+  const std::vector<Value> initial{0, 1, 1};
+  runRounds(cfg, RoundModel::kRs, factory, initial, FailureScript{}, eo);
+  EXPECT_EQ(writes, 0);
+
+  RoundEngine pooled(cfg, RoundModel::kRs, factory, eo);
+  pooled.execute(initial, FailureScript{});
+  EXPECT_GT(writes, 0);
 }
 
 TEST(RoundEngineResume, SnapshotAndResumeRoundTrip) {
