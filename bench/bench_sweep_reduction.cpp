@@ -42,7 +42,6 @@
 
 #include "consensus/registry.hpp"
 #include "explore/reduction.hpp"
-#include "indep/independence.hpp"
 #include "mc/checker.hpp"
 #include "rounds/spec.hpp"
 #include "util/serde.hpp"
@@ -151,7 +150,7 @@ CellResult runCell(const Cell& cell, int threads) {
 
   McCheckOptions reducedOpt = base;
   reducedOpt.reduction = Reduction::kSymmetry;
-  reducedOpt.symmetryFixedIds = entry.symmetryFixedIds;
+  resolveReduction(reducedOpt, entry, cfg);
   reducedOpt.runStats = &res.stats;
   McReport reduced;
   res.reducedSecs = bench::wallSeconds([&] {
@@ -160,9 +159,7 @@ CellResult runCell(const Cell& cell, int threads) {
 
   McCheckOptions porOpt = reducedOpt;
   porOpt.reduction = Reduction::kSymmetryPor;
-  porOpt.decisionFixRound = indep::resolveDecisionFixRound(entry, cfg);
-  porOpt.porReadsAllSenders = entry.footprint.readsAllSenders;
-  porOpt.porReadIdsMask = indep::readIdsMaskFor(entry.footprint, cfg.n);
+  resolveReduction(porOpt, entry, cfg);
   // Best-of-3: por is the gated mode (the hotpath gate anchors rws-n6 por
   // runs/s to a fixed baseline) and also the cheapest of the three, so the
   // standard min-of-N answer to scheduler noise costs almost nothing here.

@@ -129,15 +129,8 @@ int cmdResume(int argc, char** argv) {
     std::fprintf(stderr, "ssvsp_campaign resume: %s\n", error.c_str());
     return 1;
   }
-  // The manifest IS the spec; rebuild the matching CampaignSpec from it.
-  CampaignSpec spec;
-  spec.algorithm = manifest->algorithm;
-  spec.n = manifest->n;
-  spec.t = manifest->t;
-  spec.maxScripts = manifest->enumeration.maxScripts;
-  spec.shardScripts = manifest->shardScripts;
-  spec.maxViolations = manifest->maxViolations;
-  spec.reduction = manifest->reduction;
+  // The manifest IS the spec.
+  const CampaignSpec& spec = *manifest;
   return reportCampaign(runCampaign(spec, options));
 }
 

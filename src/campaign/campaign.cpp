@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "consensus/registry.hpp"
-#include "indep/independence.hpp"
+#include "latency/latency.hpp"
 #include "mc/enumerator.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
@@ -54,60 +54,21 @@ std::string shardResultPath(const std::string& dir,
   return dir + "/shard-" + std::to_string(range.firstScript) + ".json";
 }
 
-/// Builds a fresh manifest for `spec` — the same derivation as the
-/// canonical latency sweeps, so campaign reports cover the same space as
-/// the in-memory analyzers.
+/// Builds a fresh manifest for `spec`: validated first, then the stream
+/// counted and cut into shards.
 bool buildManifest(const CampaignSpec& spec, CampaignManifest* m,
                    std::string* error) {
-  const AlgorithmEntry* entry = findAlgorithm(spec.algorithm);
-  if (entry == nullptr)
-    return setError(error, "unknown algorithm '" + spec.algorithm + "'");
-  if (spec.n < 2 || spec.t < 0 || spec.t >= spec.n)
-    return setError(error, "campaign needs n >= 2 and 0 <= t < n");
-  if (spec.shardScripts < 1)
-    return setError(error, "campaign needs shardScripts >= 1");
-  m->algorithm = entry->name;
-  m->n = spec.n;
-  m->t = spec.t;
-  m->model = entry->intendedModel;
-  m->enumeration.horizon = spec.t + 2;
-  m->enumeration.maxCrashes = spec.t;
-  if (m->model == RoundModel::kRws) m->enumeration.pendingLags = {1, 0};
-  m->enumeration.maxScripts = spec.maxScripts;
-  m->reduction = spec.reduction;
-  m->symmetryFixedIds = entry->symmetryFixedIds;
-  const RoundConfig cfg{spec.n, spec.t};
-  if (spec.reduction == Reduction::kSymmetryPor) {
-    // Resolve the footprint ONCE, into the manifest: every shard (and every
-    // resume) then prunes under the exact same PorSpec.
-    m->decisionFixRound = indep::resolveDecisionFixRound(*entry, cfg);
-    m->porReadsAllSenders = entry->footprint.readsAllSenders;
-    m->porReadIdsMask = indep::readIdsMaskFor(entry->footprint, cfg.n);
-    m->porReplayEvery = indep::replayEveryFromEnv();
-  }
-  m->maxViolations = spec.maxViolations;
-  m->totalScripts = countScripts(cfg, m->model, m->enumeration);
-  m->shardScripts = spec.shardScripts;
+  static_cast<CampaignSpec&>(*m) = spec;
+  if (!m->resolve(error)) return false;
+  const RoundConfig cfg{m->n, m->t};
+  m->totalScripts = countScripts(
+      cfg, m->model,
+      canonicalSweep(algorithmByName(m->algorithm), cfg, m->reduction,
+                     m->maxScripts)
+          .enumeration);
   for (const ShardRange& range :
        planShardRanges(m->totalScripts, m->shardScripts))
     m->shards.push_back(ShardEntry{range, false, McReport{}});
-  return true;
-}
-
-/// A resumed campaign must be THE SAME campaign: refuse a dir whose
-/// manifest was built from a different spec instead of silently mixing
-/// sweeps.
-bool specMatches(const CampaignSpec& spec, const CampaignManifest& m,
-                 std::string* error) {
-  if (m.algorithm != spec.algorithm || m.n != spec.n || m.t != spec.t ||
-      m.enumeration.maxScripts != spec.maxScripts ||
-      m.shardScripts != spec.shardScripts ||
-      m.maxViolations != spec.maxViolations ||
-      m.reduction != spec.reduction)
-    return setError(error,
-                    "campaign dir holds a different spec (algorithm/n/t/"
-                    "max_scripts/shard_scripts/max_violations/reduction "
-                    "mismatch); use a fresh --dir or matching flags");
   return true;
 }
 
@@ -183,10 +144,12 @@ bool writeFileAtomic(const std::string& path, const std::string& text,
 
 /// Shard worker body (forked child).  Runs the job, makes the memo batch
 /// durable, publishes the result file, and _exit()s — no destructors, no
-/// shared stdio flushing with the parent.
+/// shared stdio flushing with the parent.  Every failure it can report
+/// (an exception such as the L500/L501 tripwire, a memo or result write
+/// error) is printed and ends the worker with a non-zero exit status.
 [[noreturn]] void shardWorker(const CampaignManifest& manifest,
                               std::size_t index, MemoStore* store,
-                              const std::string& dir, bool chaosKill) {
+                              const std::string& dir, bool chaosKill) try {
   if (chaosKill) {
     // Chaos hook: do HALF the slice's work (so the memo log gains a real,
     // footerless partial segment), then die the hard way.  The
@@ -217,6 +180,9 @@ bool writeFileAtomic(const std::string& path, const std::string& text,
     ::_exit(4);
   }
   ::_exit(0);
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "[campaign worker] %s\n", e.what());
+  ::_exit(5);
 }
 
 }  // namespace
@@ -248,12 +214,9 @@ CampaignResult runCampaign(const CampaignSpec& spec,
     result.error = "campaign needs a directory (--dir)";
     return result;
   }
-  if (!makeDirs(options.dir, &error)) {
-    result.error = error;
-    return result;
-  }
 
-  // Load-or-create the ledger.
+  // Load-or-create the ledger.  A new request is validated and counted
+  // before the directory or the manifest is written.
   CampaignManifest manifest;
   const std::string mpath = manifestPath(options.dir);
   if (std::ifstream(mpath).good()) {
@@ -264,19 +227,21 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       return result;
     }
     manifest = std::move(*loaded);
-    if (!specMatches(spec, manifest, &error)) {
-      result.error = error;
+    // A resumed campaign must be THE SAME campaign: refuse a dir whose
+    // manifest was built from a different spec instead of silently mixing
+    // sweeps.
+    if (spec != manifest) {
+      result.error =
+          "campaign dir holds a different spec (algorithm/n/t/max_scripts/"
+          "shard_scripts/max_violations/reduction mismatch); use a fresh "
+          "--dir or matching flags";
       return result;
     }
-  } else {
-    if (!buildManifest(spec, &manifest, &error)) {
-      result.error = error;
-      return result;
-    }
-    if (!manifest.save(mpath, &error)) {
-      result.error = error;
-      return result;
-    }
+  } else if (!buildManifest(spec, &manifest, &error) ||
+             !makeDirs(options.dir, &error) ||
+             !manifest.save(mpath, &error)) {
+    result.error = error;
+    return result;
   }
   result.shardsTotal = static_cast<int>(manifest.shards.size());
 
@@ -372,9 +337,12 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       return true;
     };
 
+    // A worker that exits non-zero reported a failure a rerun would repeat:
+    // the first such failure stops dispatch, and the campaign returns it
+    // once the running workers are reaped and recorded.
     std::vector<pollfd> fds;
-    while (next < queue.size() || !running.empty()) {
-      while (next < queue.size() &&
+    while ((result.error.empty() && next < queue.size()) || !running.empty()) {
+      while (result.error.empty() && next < queue.size() &&
              running.size() < static_cast<std::size_t>(options.workers)) {
         if (!dispatch(queue[next])) return fail(error);
         ++next;
@@ -400,24 +368,29 @@ CampaignResult runCampaign(const CampaignSpec& spec,
 
       const std::string rpath =
           shardResultPath(options.dir, manifest.shards[index].range);
-      bool recorded = false;
-      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-        std::optional<ShardResult> shard = shardResultFromFile(rpath, &error);
-        if (shard) {
-          if (!recordDone(index, std::move(*shard))) return fail(error);
-          std::remove(rpath.c_str());
-          recorded = true;
-        }
-      }
-      if (!recorded) {
-        // Worker died (or its result never made it to disk): the slice
-        // goes back in the queue.  The shard is still marked pending in
-        // the manifest, so even an orchestrator kill here loses nothing.
+      if (WIFSIGNALED(status)) {
+        // Killed (the chaos hook's SIGKILL, the OOM killer): the slice goes
+        // back in the queue.  The shard is still marked pending in the
+        // manifest, so even an orchestrator kill here loses nothing.
         ++result.workerDeaths;
         std::remove(rpath.c_str());
         queue.push_back(index);
+        continue;
+      }
+      std::optional<ShardResult> shard;
+      if (WEXITSTATUS(status) != 0)
+        error = "worker exited with status " +
+                std::to_string(WEXITSTATUS(status));
+      else
+        shard = shardResultFromFile(rpath, &error);
+      if (shard) {
+        if (!recordDone(index, std::move(*shard))) return fail(error);
+        std::remove(rpath.c_str());
+      } else if (result.error.empty()) {
+        result.error = "shard " + std::to_string(index) + ": " + error;
       }
     }
+    if (!result.error.empty()) return result;
   }
 
   SSVSP_CHECK(manifest.complete());
@@ -468,12 +441,12 @@ std::vector<CampaignAnswer> queryCampaign(const std::string& dir,
     answer.f = f;
     if (!pendingReason.empty()) {
       answer.reason = pendingReason;
-    } else if (f < 0 || f > manifest->enumeration.maxCrashes) {
+    } else if (f < 0 || f > manifest->t) {
       std::ostringstream os;
-      os << "crash budget f=" << f << " was never swept: manifest "
-         << "enumeration.max_crashes=" << manifest->enumeration.maxCrashes
-         << " (algorithm " << manifest->algorithm << ", n=" << manifest->n
-         << ", t=" << manifest->t << "); start a campaign covering it";
+      os << "crash budget f=" << f << " was never swept: the campaign "
+         << "sweeps 0..t crashes (manifest algorithm " << manifest->algorithm
+         << ", n=" << manifest->n << ", t=" << manifest->t
+         << "); start a campaign covering it";
       answer.reason = os.str();
     } else {
       answer.admitted = true;

@@ -9,11 +9,18 @@
 //     merge bit-identically into the whole-stream McReport;
 //   * runShard() executes one slice against the shared MemoStore, in this
 //     process or in a forked worker — the ShardJob is the same either way;
+//   * the request (CampaignSpec, campaign/manifest.hpp) is validated —
+//     registered algorithm, sane (n, t) and grain, a sweep that passes
+//     preflightSweep — before the manifest is written and before any fork;
 //   * the orchestrator forks up to `workers` shard processes, reaps them,
 //     records each finished shard (report + manifest save, tmp + rename)
-//     and reassigns the slices of workers that died.  Killing ANY process
-//     — SIGKILL included — costs at most the in-flight shards: `resume`
-//     (the same runCampaign call) reruns only shards not recorded done;
+//     and reassigns the slices of workers killed by a signal.  Killing ANY
+//     process — SIGKILL included — costs at most the in-flight shards:
+//     `resume` (the same runCampaign call) reruns only shards not recorded
+//     done.  A worker that EXITS non-zero reported a failure (a tripwire, an
+//     unpublishable result) that a rerun would repeat: the orchestrator
+//     stops dispatching, records what the running workers finish, and
+//     returns the failure;
 //   * shards are dispatched largest-remaining-first from one shared queue,
 //     so a straggling worker simply stops picking up new slices while the
 //     others drain the plan — work stealing by grain, not by preemption;
@@ -38,27 +45,6 @@
 #include "mc/checker.hpp"
 
 namespace ssvsp {
-
-/// What a campaign sweeps.  Everything else (enumeration, reduction) is
-/// derived from the registry entry exactly like the canonical latency
-/// sweeps, so "campaign result" and "in-memory sweep result" are reports
-/// over the same space.
-struct CampaignSpec {
-  std::string algorithm;  ///< registry name (consensus/registry.hpp)
-  int n = 4;
-  int t = 2;
-  /// Cap on the script stream (-1 = the full space).
-  std::int64_t maxScripts = -1;
-  /// Scripts per shard — the campaign's scheduling grain.
-  std::int64_t shardScripts = 2048;
-  int maxViolations = 4;
-  /// State-space reduction the shards sweep under.  kSymmetryPor resolves
-  /// the algorithm's observational footprint (src/indep) into the manifest
-  /// at creation time; reports are bit-identical across modes either way,
-  /// and the persistent memo store stays valid across modes (every key maps
-  /// to the true summary of the script it canonicalizes).
-  Reduction reduction = Reduction::kSymmetry;
-};
 
 struct CampaignOptions {
   /// Campaign directory (created if absent): manifest.json + memo.log.
@@ -105,7 +91,7 @@ struct CampaignResult {
   int shardsSkipped = 0;  ///< already done in the manifest (resume path)
   int shardsRun = 0;      ///< executed by this invocation
   int workersForked = 0;
-  int workerDeaths = 0;  ///< abnormal worker exits survived
+  int workerDeaths = 0;  ///< workers killed by a signal, slices requeued
   std::int64_t memoEntriesLoaded = 0;    ///< replayed from memo.log
   std::int64_t memoEntriesAppended = 0;  ///< new orbits this invocation
   std::int64_t memoBytesRepaired = 0;    ///< torn tail truncated on open
@@ -114,8 +100,9 @@ struct CampaignResult {
 };
 
 /// Runs (or resumes) the campaign: creates dir + manifest on first call,
-/// validates `spec` against the existing manifest otherwise, then drains
-/// pending shards.  Returns the merged report once every shard is done.
+/// refuses a `spec` that differs from the existing manifest's otherwise,
+/// then drains pending shards.  Returns the merged report once every shard
+/// is done.
 CampaignResult runCampaign(const CampaignSpec& spec,
                            const CampaignOptions& options);
 

@@ -10,6 +10,9 @@
 #include <sstream>
 #include <utility>
 
+#include "consensus/registry.hpp"
+#include "latency/latency.hpp"
+#include "lint/lint.hpp"
 #include "util/serde.hpp"
 
 namespace ssvsp {
@@ -21,13 +24,28 @@ bool setError(std::string* error, const std::string& what) {
   return false;
 }
 
-std::optional<RoundModel> modelFromString(std::string_view s) {
-  if (s == "RS") return RoundModel::kRs;
-  if (s == "RWS") return RoundModel::kRws;
-  return std::nullopt;
-}
-
 }  // namespace
+
+bool CampaignManifest::resolve(std::string* error) {
+  const AlgorithmEntry* entry = findAlgorithm(algorithm);
+  if (entry == nullptr)
+    return setError(error, "manifest: unknown algorithm '" + algorithm + "'");
+  if (n < 2 || t < 0 || t >= n)
+    return setError(error, "manifest: campaign needs n >= 2 and 0 <= t < n");
+  if (shardScripts < 1)
+    return setError(error, "manifest: campaign needs shard_scripts >= 1");
+  model = entry->intendedModel;
+  const RoundConfig cfg{n, t};
+  try {
+    preflightSweep(cfg, model,
+                   canonicalSweep(*entry, cfg, reduction, maxScripts));
+  } catch (const PreflightError& e) {
+    std::string what = e.what();  // one line per error, newline-terminated
+    what.erase(what.find_last_not_of('\n') + 1);
+    return setError(error, "manifest: " + what);
+  }
+  return true;
+}
 
 int CampaignManifest::pendingCount() const {
   int pending = 0;
@@ -47,17 +65,9 @@ McReport CampaignManifest::mergedReport() const {
 McCheckOptions CampaignManifest::shardOptions(std::size_t index) const {
   SSVSP_CHECK(index < shards.size());
   McCheckOptions options;
-  options.enumeration = enumeration;
-  options.valueDomain = valueDomain;
-  options.horizonSlack = horizonSlack;
-  options.reduction = reduction;
-  options.symmetryFixedIds = symmetryFixedIds;
-  options.decisionFixRound = decisionFixRound;
-  options.porReplayEvery = porReplayEvery;
-  options.porReadsAllSenders = porReadsAllSenders;
-  options.porReadIdsMask = porReadIdsMask;
+  static_cast<ExploreSpec&>(options) = canonicalSweep(
+      algorithmByName(algorithm), RoundConfig{n, t}, reduction, maxScripts);
   options.maxViolations = maxViolations;
-  options.threads = 1;
   options.shard = shards[index].range;
   return options;
 }
@@ -71,28 +81,11 @@ std::string CampaignManifest::toJsonString() const {
   w.kv("algorithm", algorithm);
   w.kv("n", std::int64_t{n});
   w.kv("t", std::int64_t{t});
-  w.kv("model", toString(model));
-  w.key("enumeration").beginObject();
-  w.kv("horizon", std::int64_t{enumeration.horizon});
-  w.kv("max_crashes", std::int64_t{enumeration.maxCrashes});
-  w.key("pending_lags").beginArray();
-  for (int lag : enumeration.pendingLags) w.value(std::int64_t{lag});
-  w.endArray();
-  w.kv("max_scripts", enumeration.maxScripts);
-  w.endObject();
-  w.kv("value_domain", std::int64_t{valueDomain});
-  w.kv("horizon_slack", std::int64_t{horizonSlack});
-  w.kv("reduction", std::string(toString(reduction)));
-  w.kv("symmetry_fixed_ids", std::int64_t{symmetryFixedIds});
-  w.kv("decision_fix_round",
-       decisionFixRound == kNoRound ? std::int64_t{-1}
-                                    : std::int64_t{decisionFixRound});
-  w.kv("por_replay_every", std::int64_t{porReplayEvery});
-  w.kv("por_reads_all_senders", porReadsAllSenders);
-  w.kv("por_read_ids_mask", static_cast<std::int64_t>(porReadIdsMask));
-  w.kv("max_violations", std::int64_t{maxViolations});
-  w.kv("total_scripts", totalScripts);
+  w.kv("max_scripts", maxScripts);
   w.kv("shard_scripts", shardScripts);
+  w.kv("max_violations", std::int64_t{maxViolations});
+  w.kv("reduction", std::string(toString(reduction)));
+  w.kv("total_scripts", totalScripts);
   w.key("shards").beginArray();
   for (const ShardEntry& shard : shards) {
     w.beginObject();
@@ -123,37 +116,20 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
     return std::nullopt;
 
   CampaignManifest m;
-  std::string modelName;
-  const JsonValue* enumeration = doc->find("enumeration");
-  bool ok = readJsonString(doc->find("algorithm"), &m.algorithm) &&
-            readJsonInt(doc->find("n"), &m.n) &&
-            readJsonInt(doc->find("t"), &m.t) &&
-            readJsonString(doc->find("model"), &modelName) &&
-            enumeration != nullptr && enumeration->isObject() &&
-            readJsonInt(enumeration->find("horizon"),
-                        &m.enumeration.horizon) &&
-            readJsonInt(enumeration->find("max_crashes"),
-                        &m.enumeration.maxCrashes) &&
-            readJsonI64(enumeration->find("max_scripts"),
-                        &m.enumeration.maxScripts) &&
-            readJsonInt(doc->find("value_domain"), &m.valueDomain) &&
-            readJsonInt(doc->find("horizon_slack"), &m.horizonSlack) &&
-            readJsonInt(doc->find("symmetry_fixed_ids"),
-                        &m.symmetryFixedIds) &&
-            readJsonInt(doc->find("max_violations"), &m.maxViolations) &&
-            readJsonI64(doc->find("total_scripts"), &m.totalScripts) &&
-            readJsonI64(doc->find("shard_scripts"), &m.shardScripts);
-  const std::optional<RoundModel> model = modelFromString(modelName);
-  const JsonValue* lags =
-      enumeration != nullptr ? enumeration->find("pending_lags") : nullptr;
   const JsonValue* shards = doc->find("shards");
-  ok = ok && model.has_value() && lags != nullptr && lags->isArray() &&
-       shards != nullptr && shards->isArray();
+  const bool ok = readJsonString(doc->find("algorithm"), &m.algorithm) &&
+                  readJsonInt(doc->find("n"), &m.n) &&
+                  readJsonInt(doc->find("t"), &m.t) &&
+                  readJsonI64(doc->find("max_scripts"), &m.maxScripts) &&
+                  readJsonI64(doc->find("shard_scripts"), &m.shardScripts) &&
+                  readJsonInt(doc->find("max_violations"),
+                              &m.maxViolations) &&
+                  readJsonI64(doc->find("total_scripts"), &m.totalScripts) &&
+                  shards != nullptr && shards->isArray();
   if (!ok) {
     setError(error, "manifest: bad fields");
     return std::nullopt;
   }
-  m.model = *model;
   std::string reductionName;
   std::optional<Reduction> reduction;
   if (readJsonString(doc->find("reduction"), &reductionName))
@@ -163,27 +139,7 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
     return std::nullopt;
   }
   m.reduction = *reduction;
-  int fixRound = 0;
-  std::int64_t readIdsMask = 0;
-  if (!readJsonInt(doc->find("decision_fix_round"), &fixRound) ||
-      !readJsonInt(doc->find("por_replay_every"), &m.porReplayEvery) ||
-      !readJsonBool(doc->find("por_reads_all_senders"),
-                    &m.porReadsAllSenders) ||
-      !readJsonI64(doc->find("por_read_ids_mask"), &readIdsMask) ||
-      readIdsMask < 0) {
-    setError(error, "manifest: bad POR fields");
-    return std::nullopt;
-  }
-  m.decisionFixRound = fixRound < 0 ? kNoRound : fixRound;
-  m.porReadIdsMask = static_cast<std::uint64_t>(readIdsMask);
-  for (const JsonValue& lag : lags->items) {
-    int value = 0;
-    if (!readJsonInt(&lag, &value)) {
-      setError(error, "manifest: bad pending lag");
-      return std::nullopt;
-    }
-    m.enumeration.pendingLags.push_back(value);
-  }
+  if (!m.resolve(error)) return std::nullopt;
   for (const JsonValue& entry : shards->items) {
     ShardEntry shard;
     const JsonValue* report =

@@ -46,9 +46,6 @@ class CommitFlood : public RoundAutomaton {
   std::optional<Value> decision() const override { return decision_; }
   std::string describeState() const override;
 
-  /// Votes this process knows (kUndecided where unknown) — for tests.
-  const std::vector<Value>& knownVotes() const { return known_; }
-
  private:
   bool useHaltSet_;
   ProcessId self_ = kNoProcess;

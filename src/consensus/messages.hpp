@@ -41,11 +41,6 @@ inline Payload encodeTagged(std::int32_t tag, Value v) {
   return std::move(out).take();
 }
 
-inline std::int32_t tagOf(const Payload& p) {
-  PayloadReader r(p);
-  return r.getInt();
-}
-
 /// Decodes a W-set message; empty optional if the tag does not match.
 inline std::optional<ValueSet> decodeW(const Payload& p) {
   PayloadReader r(p);

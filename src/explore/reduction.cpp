@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "explore/spec.hpp"
+#include "indep/independence.hpp"
 #include "lint/codes.hpp"
 #include "obs/obs.hpp"
 #include "rounds/spec.hpp"
@@ -30,7 +31,7 @@ std::vector<std::vector<Value>> canonicalValueConfigs(int n) {
 SymmetryGroup::SymmetryGroup(int n, int fixedIds) : n_(n) {
   SSVSP_CHECK_MSG(n >= 1 && n <= kMaxProcs, "n = " << n);
   SSVSP_CHECK_MSG(fixedIds >= 0 && fixedIds <= n, "fixedIds = " << fixedIds);
-  SSVSP_CHECK_MSG(n - fixedIds <= 8,
+  SSVSP_CHECK_MSG(n - fixedIds <= kMaxMovableIds,
                   "symmetry group over " << (n - fixedIds)
                                          << " movable ids is too large");
   std::vector<ProcessId> tail;
@@ -326,6 +327,18 @@ std::optional<SweepRunStats> SweepRunStats::fromJson(const JsonValue& doc,
     return std::nullopt;
   }
   return s;
+}
+
+void resolveReduction(ExploreSpec& spec, const AlgorithmEntry& entry,
+                      const RoundConfig& cfg) {
+  spec.symmetryFixedIds = entry.symmetryFixedIds;
+  if (spec.reduction != Reduction::kSymmetryPor) return;
+  const indep::PorSpec por = indep::porSpecFor(
+      entry, cfg, spec.enumeration.horizon + spec.horizonSlack);
+  spec.decisionFixRound = por.decisionFixRound;
+  spec.porReadsAllSenders = por.readsAllSenders;
+  spec.porReadIdsMask = por.readIdsMask;
+  spec.porReplayEvery = indep::replayEveryFromEnv();
 }
 
 indep::PorSpec porSpecFromExplore(const ExploreSpec& spec) {

@@ -59,8 +59,11 @@ std::vector<std::vector<Value>> canonicalValueConfigs(int n);
 /// specially and no others.
 class SymmetryGroup {
  public:
-  /// Requires 0 <= fixedIds <= n and n - fixedIds <= 8 (8! = 40320
-  /// permutations; sweeps never exceed single-digit n).
+  /// The most ids a group may permute: 8! = 40320 permutations.  A reduced
+  /// sweep over more is refused before it starts (lint code L213).
+  static constexpr int kMaxMovableIds = 8;
+
+  /// Requires 0 <= fixedIds <= n and n - fixedIds <= kMaxMovableIds.
   SymmetryGroup(int n, int fixedIds);
 
   int n() const { return n_; }
@@ -275,13 +278,20 @@ struct SweepRunStats {
                                                std::string* error = nullptr);
 };
 
-struct ExploreSpec;  // explore/spec.hpp
+struct AlgorithmEntry;  // consensus/registry.hpp
+struct ExploreSpec;     // explore/spec.hpp
+
+/// Fills `spec`'s reduction facts for sweeping `entry` at `cfg`: the
+/// symmetry group's fixed ids and, under kSymmetryPor, the footprint's POR
+/// facts (indep::porSpecFor) plus the SSVSP_CHECK replay period.  The one
+/// place a sweep's reduction is resolved against the registry.
+void resolveReduction(ExploreSpec& spec, const AlgorithmEntry& entry,
+                      const RoundConfig& cfg);
 
 /// The indep::PorSpec a kSymmetryPor sweep over `spec` hands its executors:
 /// the spec's resolved POR fields plus the ENGINE horizon (enumeration
-/// horizon + slack) for S3.  Pure repackaging — resolution against the
-/// algorithm's footprint happens earlier, at the entry-aware call sites
-/// (indep::porSpecFor / resolveDecisionFixRound).
+/// horizon + slack) for S3.  Pure repackaging of what resolveReduction
+/// filled in.
 indep::PorSpec porSpecFromExplore(const ExploreSpec& spec);
 
 /// The per-worker execution arena: one pooled, checkpoint-resuming

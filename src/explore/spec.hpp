@@ -11,8 +11,8 @@
 // McCheckOptions (src/mc/checker.hpp) and LatencyOptions
 // (src/latency/latency.hpp) are thin extensions of ExploreSpec: they add
 // only their analyzer-specific knobs.  Code that used to set the
-// copy-pasted `enumeration` / `valueDomain` / `horizonSlack` fields on
-// those structs keeps compiling unchanged — the fields now live here.
+// copy-pasted `enumeration` / `valueDomain` fields on those structs keeps
+// compiling unchanged — the fields now live here.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,7 @@ enum class Reduction {
   /// orbit collapse.  Same bit-identity contract as kSymmetry: the
   /// enumerated stream, script indices and per-run folds never change,
   /// only executions are deduplicated.  Uses `decisionFixRound` (resolved
-  /// from the AlgorithmEntry footprint, see indep::porSpecFor) for the
+  /// from the AlgorithmEntry footprint, see resolveReduction) for the
   /// decision-horizon rules; kNoRound keeps the algorithm-independent
   /// structural rules only.
   kSymmetryPor,
@@ -126,9 +126,9 @@ struct ExploreSpec {
   int symmetryFixedIds = 0;
   /// kSymmetryPor only: round by which every process's decision is fixed
   /// in every admissible run, resolved from the algorithm's declared
-  /// footprint at f = t (indep::resolveDecisionFixRound); kNoRound = no
-  /// declared bound — POR keeps only its structural rules.  Ignored by the
-  /// other reduction modes.
+  /// footprint at f = t (resolveReduction); kNoRound = no declared bound —
+  /// POR keeps only its structural rules.  Ignored by the other reduction
+  /// modes.
   Round decisionFixRound = kNoRound;
   /// kSymmetryPor only: the SSVSP_CHECK replay tripwire — every Nth memo
   /// hit whose script was POR-collapsed is re-executed fresh and compared
@@ -138,15 +138,15 @@ struct ExploreSpec {
   int porReplayEvery = 0;
   /// kSymmetryPor only: F2 of the footprint — false means only the senders
   /// in `porReadIdsMask` can influence any observable state, so delivery
-  /// choices of every other sender collapse.  Copied from the algorithm's
-  /// ObservationalFootprint by the same callers that copy symmetryFixedIds.
+  /// choices of every other sender collapse.  Resolved from the algorithm's
+  /// ObservationalFootprint by resolveReduction, with symmetryFixedIds.
   bool porReadsAllSenders = true;
   /// Distinguished read ids (bit per process id) when porReadsAllSenders is
   /// false.
   std::uint64_t porReadIdsMask = 0;
   /// Extra engine rounds past the enumeration horizon, so that decisions
   /// scheduled at t+1 still happen when crashes land late.
-  int horizonSlack = 2;
+  static constexpr int horizonSlack = 2;
   /// Worker threads for the parallel sweep engine; 0 = one per hardware
   /// thread, 1 = inline (no worker pool).  Results are bit-identical for
   /// every value — see src/explore/parallel_sweep.hpp.

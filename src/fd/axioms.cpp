@@ -112,19 +112,4 @@ AxiomReport checkEventualWeakAccuracy(FailureDetectorSource& fd,
   return fail("no correct process becomes permanently unsuspected");
 }
 
-AxiomReport checkTraceAccuracy(const RunTrace& trace) {
-  const FailurePattern& pattern = trace.pattern();
-  for (const auto& s : trace.steps()) {
-    for (ProcessId q : s.suspected) {
-      if (pattern.crashTime(q) > s.time) {
-        std::ostringstream os;
-        os << "step #" << s.globalStep << ": p" << s.pid
-           << " suspects alive p" << q;
-        return fail(os.str());
-      }
-    }
-  }
-  return {};
-}
-
 }  // namespace ssvsp

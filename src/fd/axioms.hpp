@@ -16,7 +16,6 @@
 #include <string>
 
 #include "fd/failure_detectors.hpp"
-#include "runtime/trace.hpp"
 
 namespace ssvsp {
 
@@ -47,12 +46,5 @@ AxiomReport checkEventualStrongAccuracy(FailureDetectorSource& fd,
 AxiomReport checkEventualWeakAccuracy(FailureDetectorSource& fd,
                                       const FailurePattern& pattern,
                                       Time horizon);
-
-/// Validates the suspicion sets recorded in a trace against its own failure
-/// pattern: accuracy on every recorded step, and completeness restricted to
-/// the queries the trace actually contains (a process that stopped querying
-/// cannot witness completeness).  Used to certify the timeout-based P
-/// implementation on SS runs.
-AxiomReport checkTraceAccuracy(const RunTrace& trace);
 
 }  // namespace ssvsp

@@ -104,8 +104,9 @@ std::uint64_t readIdsMaskFor(const ObservationalFootprint& footprint, int n);
 /// The SSVSP_CHECK environment variable as a replay period: unset, empty or
 /// "0" disables the tripwire (0); a positive integer N replays every Nth
 /// collapsed memo hit; any other non-empty value means "every hit" (1).
-/// Honored by canonicalLatencyOptions, so the CI por-equality leg turns the
-/// tripwire on for every registry-wide sweep without a recompile.
+/// Read by resolveReduction (explore/reduction.hpp), so the CI por-equality
+/// leg turns the tripwire on for every canonical sweep and campaign shard
+/// without a recompile.
 int replayEveryFromEnv();
 
 /// Builds the PorSpec for sweeping `entry` at `cfg` with the given engine

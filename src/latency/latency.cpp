@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "explore/reduction.hpp"
-#include "indep/independence.hpp"
 #include "mc/sweep.hpp"
 #include "obs/obs.hpp"
 #include "rounds/adversary.hpp"
@@ -108,31 +107,32 @@ class LatShard : public SweepShard {
 
 }  // namespace
 
+ExploreSpec canonicalSweep(const AlgorithmEntry& entry, const RoundConfig& cfg,
+                           Reduction reduction, std::int64_t maxScripts) {
+  ExploreSpec spec;
+  spec.enumeration.horizon = cfg.t + 2;
+  spec.enumeration.maxCrashes = cfg.t;
+  if (entry.intendedModel == RoundModel::kRws)
+    spec.enumeration.pendingLags = {1, 0};
+  spec.enumeration.maxScripts = maxScripts;
+  spec.reduction = reduction;
+  resolveReduction(spec, entry, cfg);
+  return spec;
+}
+
 LatencyOptions canonicalLatencyOptions(const AlgorithmEntry& entry,
                                        const RoundConfig& cfg,
                                        bool exhaustive) {
   LatencyOptions options;
-  options.exhaustive = exhaustive;
-  options.samples = 1000;
-  options.enumeration.horizon = cfg.t + 2;
-  options.enumeration.maxCrashes = cfg.t;
-  if (entry.intendedModel == RoundModel::kRws) {
-    options.enumeration.pendingLags = {1, 0};
-    options.enumeration.maxScripts = 200000;
-  }
   // Behaviour-preserving accelerator: profiles are bit-identical with
   // reduction on (the orbit-equivalence and POR-equality tests pin this),
   // it only cuts the number of engine executions.  symmetry_por composes
   // the footprint-derived independence collapse on top of the orbit memo.
-  options.reduction = Reduction::kSymmetryPor;
-  options.symmetryFixedIds = entry.symmetryFixedIds;
-  options.decisionFixRound = indep::resolveDecisionFixRound(entry, cfg);
-  options.porReadsAllSenders = entry.footprint.readsAllSenders;
-  options.porReadIdsMask = indep::readIdsMaskFor(entry.footprint, cfg.n);
-  // SSVSP_CHECK turns the L501 replay tripwire on for every canonical
-  // sweep — the belt the CI por-equality leg wears over the bit-identity
-  // braces.
-  options.porReplayEvery = indep::replayEveryFromEnv();
+  static_cast<ExploreSpec&>(options) = canonicalSweep(
+      entry, cfg, Reduction::kSymmetryPor,
+      entry.intendedModel == RoundModel::kRws ? 200000 : -1);
+  options.exhaustive = exhaustive;
+  options.samples = 1000;
   return options;
 }
 

@@ -35,9 +35,9 @@
 namespace ssvsp {
 
 /// ExploreSpec plus the analyzer's sampling knobs.  The sweep fields
-/// (`enumeration`, `valueDomain`, `horizonSlack`, `seed`, `threads`, ...)
-/// are the inherited ExploreSpec members; pre-ExploreSpec code that
-/// assigned them directly keeps compiling unchanged.
+/// (`enumeration`, `valueDomain`, `seed`, `threads`, ...) are the
+/// inherited ExploreSpec members; pre-ExploreSpec code that assigned them
+/// directly keeps compiling unchanged.
 struct LatencyOptions : ExploreSpec {
   bool exhaustive = true;
   /// Sampling mode: number of scripts drawn (seeded by ExploreSpec::seed).
@@ -56,13 +56,21 @@ struct LatencyProfile {
   std::string toString() const;
 };
 
-/// The canonical sweep for profiling `entry` at `cfg`: horizon t + 2 (every
-/// algorithm in the registry decides by t + 1; the slack round exposes
-/// post-decision traffic), crash budget t, and — in RWS — the pending-lag
-/// menu {1, 0} that realises weak round synchrony.  RWS spaces explode, so
-/// sampling there is capped at 200000 scripts.  Shared by the latency
+/// The run space of `entry` at `cfg`, the one whose Lat(A, f) the paper
+/// defines: horizon t + 2 (every algorithm in the registry decides by
+/// t + 1; the slack round exposes post-decision traffic), crash budget t,
+/// and — in RWS — the pending-lag menu {1, 0} that realises weak round
+/// synchrony, cut after `maxScripts` scripts (-1 = the whole stream).  The
+/// reduction facts come from resolveReduction.  The in-memory latency
+/// sweeps and every campaign shard (src/campaign) derive their sweep here,
+/// so "measured" means the same space everywhere.
+ExploreSpec canonicalSweep(const AlgorithmEntry& entry, const RoundConfig& cfg,
+                           Reduction reduction, std::int64_t maxScripts);
+
+/// canonicalSweep for profiling `entry` at `cfg`: symmetry_por, and in RWS,
+/// whose spaces explode, capped at 200000 scripts.  Shared by the latency
 /// explorer, the benchmark tables and the static analyzer's measured
-/// cross-check so "measured" means the same sweep everywhere.
+/// cross-check.
 LatencyOptions canonicalLatencyOptions(const AlgorithmEntry& entry,
                                        const RoundConfig& cfg,
                                        bool exhaustive = true);

@@ -56,6 +56,7 @@ inline constexpr std::string_view kDiagChunkScriptsClamped = "L209";
 inline constexpr std::string_view kDiagThreadsNegative = "L210";
 inline constexpr std::string_view kDiagLagPastHorizon = "L211";
 inline constexpr std::string_view kDiagSpecParseError = "L212";
+inline constexpr std::string_view kDiagSymmetryGroupTooLarge = "L213";
 
 // --- L3xx: scenario-file checks -------------------------------------------
 inline constexpr std::string_view kDiagParseError = "L300";
@@ -158,6 +159,9 @@ inline const std::vector<DiagCodeInfo>& diagCodeTable() {
        "pending lag >= horizon: every arrival lands past the horizon"},
       {kDiagSpecParseError, Severity::kError,
        "malformed sweep-spec text (want space/comma-separated k=v pairs)"},
+      {kDiagSymmetryGroupTooLarge, Severity::kError,
+       "reduced sweep over more than 8 movable ids (the symmetry group "
+       "would exceed 8! permutations)"},
 
       {kDiagParseError, Severity::kError, "malformed directive argument"},
       {kDiagUnknownDirective, Severity::kError, "unknown directive"},

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "consensus/registry.hpp"
+#include "explore/reduction.hpp"
 
 namespace ssvsp {
 
@@ -262,6 +263,18 @@ void lintExploreSpec(const ExploreSpec& spec, const RoundConfig& cfg,
     rep(sink, kDiagPendingLagsInRs, Severity::kWarning,
         "pending-lag menu has no effect under RS: round synchrony forbids "
         "pending messages");
+  }
+
+  if (spec.reduction != Reduction::kNone &&
+      cfg.n - spec.symmetryFixedIds > SymmetryGroup::kMaxMovableIds) {
+    std::ostringstream os;
+    os << "reduction " << toString(spec.reduction) << " over "
+       << cfg.n - spec.symmetryFixedIds << " movable ids (n=" << cfg.n
+       << ", symmetryFixedIds=" << spec.symmetryFixedIds
+       << "): the symmetry group is capped at "
+       << SymmetryGroup::kMaxMovableIds << " movable ids";
+    rep(sink, kDiagSymmetryGroupTooLarge, Severity::kError, os.str(),
+        "sweep with reduction=none, or at a smaller n");
   }
 
   if (spec.chunkScripts < 1) {

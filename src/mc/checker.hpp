@@ -85,9 +85,9 @@ struct McReport {
 void mergeMcReports(McReport& into, McReport&& from, int maxViolations);
 
 /// ExploreSpec plus the checker's one extra knob.  The sweep fields
-/// (`enumeration`, `valueDomain`, `horizonSlack`, `threads`, ...) are the
-/// inherited ExploreSpec members; pre-ExploreSpec code that assigned them
-/// directly keeps compiling unchanged.
+/// (`enumeration`, `valueDomain`, `threads`, ...) are the inherited
+/// ExploreSpec members; pre-ExploreSpec code that assigned them directly
+/// keeps compiling unchanged.
 struct McCheckOptions : ExploreSpec {
   /// Stop exploring (at the next chunk boundary) once this many violations
   /// are on record; the verdict is already clear.

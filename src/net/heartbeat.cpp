@@ -49,7 +49,6 @@ bool HeartbeatMonitor::onDatagram(ProcessId from, std::string_view bytes,
   if (!r.ok() || !r.exhausted() || src != from || src < 0 || src >= n_)
     return true;  // malformed heartbeat: consumed, ignored
   ++stats_.heartbeatsReceived;
-  if (droppedLocally_.contains(src)) return true;
   if (suspected_.contains(src)) {
     if (options_.mode == FdMode::kPerfect) {
       // Sticky: under P a suspicion is a crash verdict.  A heartbeat from
@@ -70,19 +69,13 @@ bool HeartbeatMonitor::onDatagram(ProcessId from, std::string_view bytes,
 ProcessSet HeartbeatMonitor::suspected(NetTime now) {
   for (ProcessId q = 0; q < n_; ++q) {
     if (q == self_ || suspected_.contains(q)) continue;
-    if (droppedLocally_.contains(q) ||
-        now - lastHeard_[static_cast<std::size_t>(q)] >
-            timeout_[static_cast<std::size_t>(q)]) {
+    if (now - lastHeard_[static_cast<std::size_t>(q)] >
+        timeout_[static_cast<std::size_t>(q)]) {
       suspected_.insert(q);
       ++stats_.suspicions;
     }
   }
   return suspected_;
-}
-
-void HeartbeatMonitor::dropPeer(ProcessId p) {
-  SSVSP_CHECK(p >= 0 && p < n_);
-  droppedLocally_.insert(p);
 }
 
 NetTime HeartbeatMonitor::timeoutFor(ProcessId p) const {

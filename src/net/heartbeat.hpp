@@ -86,10 +86,6 @@ class HeartbeatMonitor {
   /// call it with a fresh `now` each loop.
   ProcessSet suspected(NetTime now);
 
-  /// Silence a peer locally (the scripted-crash driver halts heartbeating
-  /// through this; tests use it to fake-crash peers instantly).
-  void dropPeer(ProcessId p);
-
   const HeartbeatStats& stats() const { return stats_; }
   const HeartbeatOptions& options() const { return options_; }
   /// ◇P: the adapted timeout currently applied to `p`.
@@ -103,7 +99,6 @@ class HeartbeatMonitor {
   std::vector<NetTime> lastHeard_;
   std::vector<NetTime> timeout_;   ///< per-peer (◇P adapts them)
   ProcessSet suspected_;
-  ProcessSet droppedLocally_;
   HeartbeatStats stats_;
 };
 

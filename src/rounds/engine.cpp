@@ -22,13 +22,6 @@ Round RoundRunResult::latency() const {
   return worst;
 }
 
-std::vector<Value> RoundRunResult::allDecisions() const {
-  std::vector<Value> out;
-  for (const auto& d : decision)
-    if (d.has_value()) out.push_back(*d);
-  return out;
-}
-
 std::string RoundRunResult::toString() const {
   std::ostringstream os;
   os << ssvsp::toString(model) << " n=" << cfg.n << " t=" << cfg.t << " init=[";

@@ -77,9 +77,6 @@ struct RoundRunResult {
   /// decided; kNoRound if some correct process never decides in the prefix.
   Round latency() const;
 
-  /// All decisions made (by correct and faulty processes alike).
-  std::vector<Value> allDecisions() const;
-
   std::string toString() const;
 };
 

@@ -49,19 +49,12 @@ void ScriptedHoldDelivery::releaseChannel(ProcessId src, ProcessId dst) {
   heldChannels_.erase({src, dst});
 }
 
-void ScriptedHoldDelivery::holdSeq(std::int64_t seq) { heldSeqs_.insert(seq); }
-
-void ScriptedHoldDelivery::releaseSeq(std::int64_t seq) {
-  heldSeqs_.erase(seq);
-}
-
 std::vector<std::size_t> ScriptedHoldDelivery::deliverNow(
     ProcessId /*p*/, std::int64_t /*localStep*/,
     const std::vector<BufferedMessage>& buffer, const SchedulerView& /*view*/) {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < buffer.size(); ++i) {
     const Envelope& e = buffer[i].env;
-    if (heldSeqs_.count(e.seq) != 0) continue;
     if (heldChannels_.count({e.src, e.dst}) != 0) continue;
     out.push_back(i);
   }

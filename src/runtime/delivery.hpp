@@ -72,8 +72,8 @@ class RandomBoundedDelivery : public DeliveryPolicy {
   std::int64_t thresholdFor(const BufferedMessage& m);
 };
 
-/// Holds an explicit set of message sequence numbers; everything else is
-/// delivered immediately.  Held messages are delivered only after release()
+/// Holds the messages of chosen channels; everything else is delivered
+/// immediately.  Held messages are delivered only after releaseChannel()
 /// (or never, if the recipient stops stepping first).  This is the exact
 /// power the asynchronous adversary in Theorem 3.1 needs: delay chosen
 /// messages past the receiver's decision point, but keep delays finite.
@@ -84,9 +84,6 @@ class ScriptedHoldDelivery : public DeliveryPolicy {
   /// Stops holding; subsequently (and for already buffered messages) the
   /// channel behaves as immediate delivery.
   void releaseChannel(ProcessId src, ProcessId dst);
-  /// Holds one specific message by sequence number.
-  void holdSeq(std::int64_t seq);
-  void releaseSeq(std::int64_t seq);
 
   std::vector<std::size_t> deliverNow(
       ProcessId p, std::int64_t localStep,
@@ -95,7 +92,6 @@ class ScriptedHoldDelivery : public DeliveryPolicy {
 
  private:
   std::set<std::pair<ProcessId, ProcessId>> heldChannels_;
-  std::set<std::int64_t> heldSeqs_;
 };
 
 }  // namespace ssvsp

@@ -40,8 +40,6 @@ class FailurePattern {
   /// Correct(F) = Pi \ Faulty(F).
   ProcessSet correct() const;
 
-  int numFaulty() const { return faulty().size(); }
-
   /// A process "initially dead" in the paper's sense: it crashes before
   /// taking any step, i.e. its crash time is <= the first schedule time (1).
   bool initiallyDead(ProcessId p) const { return crashTime(p) <= 1; }

@@ -39,7 +39,6 @@ class RunTrace {
 
   int n() const { return n_; }
   const FailurePattern& pattern() const { return pattern_; }
-  FailurePattern& mutablePattern() { return pattern_; }
 
   void append(StepRecord rec) { steps_.push_back(std::move(rec)); }
   const std::vector<StepRecord>& steps() const { return steps_; }

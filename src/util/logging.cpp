@@ -13,9 +13,7 @@ namespace ssvsp {
 namespace {
 
 LogLevel levelFromEnv() {
-  // SSVSP_LOG_LEVEL wins over the older SSVSP_LOG spelling.
   const char* env = std::getenv("SSVSP_LOG_LEVEL");
-  if (env == nullptr) env = std::getenv("SSVSP_LOG");
   if (env == nullptr) return LogLevel::kWarn;
   if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
   if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;

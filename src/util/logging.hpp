@@ -2,9 +2,9 @@
 //
 // Simulators emit diagnostics through this instead of std::cerr directly so
 // tests can silence or capture them.  The default level is kWarn, keeping
-// test and benchmark output clean; set SSVSP_LOG_LEVEL (or the older
-// SSVSP_LOG) to debug|info|warn|error|off in the environment (read once at
-// startup) or call setLogLevel to override.
+// test and benchmark output clean; set SSVSP_LOG_LEVEL to
+// debug|info|warn|error|off in the environment (read once at startup) or
+// call setLogLevel to override.
 //
 // Lines are written to stderr under a mutex as one atomic write, stamped
 // with the monotonic seconds since the first log call:

@@ -349,6 +349,19 @@ TEST_F(CampaignTest, ManifestJsonRoundTrip) {
   EXPECT_TRUE(reparsed->complete());
   EXPECT_EQ(reparsed->mergedReport().toJsonString(),
             result.report.toJsonString());
+  EXPECT_TRUE(spec == *reparsed);
+  EXPECT_EQ(reparsed->model, RoundModel::kRs);  // from the registry
+
+  // The manifest persists the request, the stream size and the shards —
+  // nothing derived from the registry.
+  const std::optional<JsonValue> doc = parseJson(loaded->toJsonString());
+  ASSERT_TRUE(doc.has_value());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc->members) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "schema", "kind", "algorithm", "n", "t", "max_scripts",
+                      "shard_scripts", "max_violations", "reduction",
+                      "total_scripts", "shards"}));
 }
 
 /// The headline durability guarantee: 2 forked workers, one SIGKILLed
@@ -510,9 +523,9 @@ TEST_F(CampaignTest, QueryAdmissionControl) {
 }
 
 TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
-  // A campaign swept under symmetry_por (footprint resolved ONCE into the
-  // manifest) must merge to the same report as the unreduced single-process
-  // in-memory sweep — the campaign edition of the POR acceptance contract.
+  // A campaign swept under symmetry_por must merge to the same report as
+  // the unreduced single-process in-memory sweep — the campaign edition of
+  // the POR acceptance contract.
   CampaignSpec spec;
   spec.algorithm = "EarlyFloodSetWS";
   spec.n = 3;
@@ -529,8 +542,8 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
   const auto manifest = campaignStatus(dir_, &error);
   ASSERT_TRUE(manifest.has_value()) << error;
   EXPECT_EQ(manifest->reduction, Reduction::kSymmetryPor);
-  // The flood footprint resolved at campaign creation: D = t + 1.
-  EXPECT_EQ(manifest->decisionFixRound, spec.t + 1);
+  // The flood footprint, resolved for every shard: D = t + 1.
+  EXPECT_EQ(manifest->shardOptions(0).decisionFixRound, spec.t + 1);
 
   McCheckOptions whole = manifest->shardOptions(0);
   whole.shard = ShardRange{};
@@ -540,7 +553,7 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
       manifest->model, whole);
   EXPECT_EQ(fromCampaign.report.toJsonString(), inMemory.toJsonString());
 
-  // The manifest string survives a serde round trip with the POR fields.
+  // The manifest string survives a serde round trip with the reduction.
   const auto reparsed =
       CampaignManifest::fromJsonString(manifest->toJsonString(), &error);
   ASSERT_TRUE(reparsed.has_value()) << error;
@@ -558,9 +571,10 @@ TEST_F(CampaignTest, SymmetryPorCampaignMatchesUnreducedSweepBitForBit) {
 }
 
 TEST_F(CampaignTest, PrePorManifestIsRefused) {
-  // Manifests written before the "reduction" string key carried only a
-  // "symmetry_reduction" bool and no POR fields.  They are refused with an
-  // error rather than guessed at.
+  // An older manifest shape — the sweep spec persisted beside the request,
+  // max_scripts inside an "enumeration" object — is refused with an error
+  // rather than guessed at.  Its memo.log stays valid: removing the
+  // manifest and rerunning the same request recovers the campaign warm.
   CampaignSpec spec;
   spec.algorithm = "FloodSet";
   spec.n = 3;
@@ -575,23 +589,116 @@ TEST_F(CampaignTest, PrePorManifestIsRefused) {
   const auto manifest = campaignStatus(dir_, &error);
   ASSERT_TRUE(manifest.has_value()) << error;
   std::string text = manifest->toJsonString();
-  // Strip the modern keys and put the old bool in their place.
-  for (const char* key : {"\"reduction\"", "\"decision_fix_round\"",
-                          "\"por_replay_every\"", "\"por_reads_all_senders\"",
-                          "\"por_read_ids_mask\""}) {
-    const std::size_t at = text.find(key);
-    ASSERT_NE(at, std::string::npos) << key;
-    const std::size_t end = text.find('\n', at);
-    ASSERT_NE(end, std::string::npos) << key;
-    std::size_t begin = text.rfind('\n', at);
-    ASSERT_NE(begin, std::string::npos) << key;
-    text.erase(begin, end - begin);
-  }
-  const std::size_t slack = text.find("\"horizon_slack\"");
-  ASSERT_NE(slack, std::string::npos);
-  text.insert(slack, "\"symmetry_reduction\": true,\n  ");
+  const std::string current = "\"max_scripts\": -1,";
+  const std::size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, current.size(),
+               "\"model\": \"RS\", \"enumeration\": {\"horizon\": 3, "
+               "\"max_crashes\": 1, \"pending_lags\": [], "
+               "\"max_scripts\": -1}, \"value_domain\": 2, "
+               "\"horizon_slack\": 2,");
+  ASSERT_TRUE(parseJson(text).has_value()) << text;
   EXPECT_FALSE(CampaignManifest::fromJsonString(text, &error).has_value());
   EXPECT_NE(error.find("manifest: bad"), std::string::npos) << error;
+}
+
+TEST_F(CampaignTest, UnknownAlgorithmManifestIsRefusedOnLoad) {
+  // A well-formed manifest naming an algorithm the registry lacks is
+  // refused when it is loaded — by resume, status and query alike — not
+  // handed to shard workers that cannot run it.
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 0;
+  ASSERT_TRUE(runCampaign(spec, options).ok);
+
+  std::string error;
+  auto manifest = campaignStatus(dir_, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  manifest->algorithm = "NoSuchAlgo";
+  ASSERT_TRUE(manifest->save(dir_ + "/manifest.json", &error)) << error;
+
+  EXPECT_FALSE(campaignStatus(dir_, &error).has_value());
+  EXPECT_EQ(error, "manifest: unknown algorithm 'NoSuchAlgo'");
+  error.clear();
+  EXPECT_TRUE(queryCampaign(dir_, {0}, &error).empty());
+  EXPECT_EQ(error, "manifest: unknown algorithm 'NoSuchAlgo'");
+  spec.algorithm = "NoSuchAlgo";
+  const CampaignResult resumed = runCampaign(spec, options);
+  EXPECT_FALSE(resumed.ok);
+  EXPECT_EQ(resumed.error, "manifest: unknown algorithm 'NoSuchAlgo'");
+}
+
+TEST_F(CampaignTest, UnrunnableSpecIsRefusedBeforeAnyManifestOrFork) {
+  // Requests no sweep can run fail with a structured error before the
+  // stream is counted, before the manifest is written and before any
+  // worker exists.  In-process mode (workers = 0): a request that slipped
+  // through would throw from the sweep instead.
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 0;
+  const auto refused = [&](CampaignSpec spec, const std::string& why) {
+    const CampaignResult result = runCampaign(spec, options);
+    EXPECT_FALSE(result.ok) << why;
+    EXPECT_NE(result.error.find(why), std::string::npos) << result.error;
+    EXPECT_EQ(fileSize(dir_ + "/manifest.json"), -1) << why;
+  };
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.t = 1;
+  spec.maxScripts = 100;
+  spec.n = 10;  // a 10! symmetry group
+  refused(spec, "L213");
+  spec.n = 80;  // past kMaxProcs
+  refused(spec, "L200");
+  spec.n = 3;
+  spec.t = 3;
+  refused(spec, "0 <= t < n");
+  spec.t = 1;
+  spec.shardScripts = 0;
+  refused(spec, "shard_scripts >= 1");
+  spec.shardScripts = 10;
+  spec.algorithm = "NoSuchAlgo";
+  refused(spec, "unknown algorithm 'NoSuchAlgo'");
+}
+
+/// A worker that exits non-zero reported a failure a rerun would repeat —
+/// here, a directory squatting on its result path makes every publish
+/// fail.  The campaign ends with that failure instead of requeueing the
+/// slice forever.
+TEST_F(CampaignTest, FailingWorkerEndsTheCampaign) {
+  const std::string blocked = dir_ + "/shard-0.json";
+  ASSERT_EQ(::mkdir(blocked.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((blocked + "/x").c_str(), 0755), 0);
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 1;
+  const CampaignResult result = runCampaign(spec, options);
+  ::rmdir((blocked + "/x").c_str());
+  ::rmdir(blocked.c_str());
+  std::remove((blocked + ".tmp").c_str());
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "shard 0: worker exited with status 4");
+  EXPECT_EQ(result.workerDeaths, 0);
+
+  // The failed shard is still pending in the ledger: a rerun with the path
+  // cleared completes the campaign.
+  std::string error;
+  const auto manifest = campaignStatus(dir_, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  EXPECT_FALSE(manifest->shards[0].done);
+  const CampaignResult rerun = runCampaign(spec, options);
+  ASSERT_TRUE(rerun.ok) << rerun.error;
+  EXPECT_EQ(rerun.shardsRun, manifest->pendingCount());
 }
 
 TEST_F(CampaignTest, RunShardMergeShardsContract) {

@@ -270,6 +270,28 @@ TEST(LintSpec, L211LagPastHorizon) {
   EXPECT_EQ(soleFinding(sink).code, kDiagLagPastHorizon);
 }
 
+TEST(LintSpec, L213SymmetryGroupTooLarge) {
+  ExploreSpec spec;
+  spec.reduction = Reduction::kSymmetry;
+  DiagnosticSink sink;
+  lintExploreSpec(spec, cfgOf(10, 1), RoundModel::kRs, sink);
+  const Diagnostic& d = soleFinding(sink);
+  EXPECT_EQ(d.code, kDiagSymmetryGroupTooLarge);
+  EXPECT_EQ(d.severity, Severity::kError);
+
+  // Eight movable ids is the cap itself, and an unreduced sweep builds no
+  // group at all.
+  spec.symmetryFixedIds = 2;
+  DiagnosticSink pinned;
+  lintExploreSpec(spec, cfgOf(10, 1), RoundModel::kRs, pinned);
+  EXPECT_TRUE(pinned.empty()) << renderText(pinned.diagnostics());
+  spec.symmetryFixedIds = 0;
+  spec.reduction = Reduction::kNone;
+  DiagnosticSink unreduced;
+  lintExploreSpec(spec, cfgOf(10, 1), RoundModel::kRs, unreduced);
+  EXPECT_TRUE(unreduced.empty()) << renderText(unreduced.diagnostics());
+}
+
 TEST(LintSpec, EstimateBoundsTheEnumeratorCount) {
   struct Case {
     int n, t;
@@ -675,6 +697,22 @@ TEST(Preflight, LatencyAnalyzerRejectsInadmissibleSpecBeforeSweeping) {
   EXPECT_THROW(measureLatency(algorithmByName("FloodSet").factory,
                               cfgOf(3, 1), RoundModel::kRs, options),
                PreflightError);
+}
+
+// The canonical latency sweep at n = 10 would need a 10! symmetry group: it
+// is refused with L213 before any group is built.  (Before L213 the group's
+// own invariant check threw mid-sweep instead.)
+TEST(Preflight, CanonicalSweepOverTenMovableIdsIsRefusedWithL213) {
+  const AlgorithmEntry& entry = algorithmByName("FloodSet");
+  const LatencyOptions options =
+      canonicalLatencyOptions(entry, cfgOf(10, 1), /*exhaustive=*/false);
+  try {
+    measureLatency(entry.factory, cfgOf(10, 1), entry.intendedModel, options);
+    FAIL() << "expected PreflightError";
+  } catch (const PreflightError& e) {
+    EXPECT_NE(std::string(e.what()).find("L213"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Preflight, PreflightErrorIsAnInvariantViolation) {

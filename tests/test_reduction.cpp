@@ -17,7 +17,6 @@
 #include "consensus/floodset.hpp"
 #include "consensus/registry.hpp"
 #include "explore/reduction.hpp"
-#include "indep/independence.hpp"
 #include "latency/latency.hpp"
 #include "mc/checker.hpp"
 #include "mc/enumerator.hpp"
@@ -547,10 +546,7 @@ TEST(OrbitEquivalence, McReportIsBitIdenticalAcrossThreads) {
 McCheckOptions withPor(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        McCheckOptions options, int replayEvery = 0) {
   options.reduction = Reduction::kSymmetryPor;
-  options.symmetryFixedIds = entry.symmetryFixedIds;
-  options.decisionFixRound = indep::resolveDecisionFixRound(entry, cfg);
-  options.porReadsAllSenders = entry.footprint.readsAllSenders;
-  options.porReadIdsMask = indep::readIdsMaskFor(entry.footprint, cfg.n);
+  resolveReduction(options, entry, cfg);
   options.porReplayEvery = replayEvery;
   return options;
 }
