@@ -42,6 +42,7 @@
 
 #include "consensus/registry.hpp"
 #include "explore/reduction.hpp"
+#include "latency/latency.hpp"
 #include "mc/checker.hpp"
 #include "rounds/spec.hpp"
 #include "util/serde.hpp"
@@ -80,12 +81,13 @@ struct Cell {
 constexpr double kRecordedRwsN5LegacySecs = 4.295;
 constexpr double kRequiredSpeedupVsLegacy = 5.0;
 
+/// The cell's canonical run space (each cell sweeps its algorithm's
+/// intended model), unreduced; runCell layers the reductions on top.
 McCheckOptions cellOptions(const Cell& cell, int threads) {
   McCheckOptions o;
-  o.enumeration.horizon = cell.t + 2;
-  o.enumeration.maxCrashes = cell.t;
-  if (cell.model == RoundModel::kRws) o.enumeration.pendingLags = {1, 0};
-  o.enumeration.maxScripts = cell.maxScripts;
+  static_cast<ExploreSpec&>(o) =
+      canonicalSweep(algorithmByName(cell.algo), {cell.n, cell.t},
+                     Reduction::kNone, cell.maxScripts);
   o.maxViolations = 1000000000;  // count everything: keeps reports comparable
   o.threads = threads;
   return o;

@@ -11,6 +11,9 @@
 // preflight (L311: crash beyond the replayable horizon is a hard reject;
 // L312: pendings are advisory, the network schedules arrivals).
 
+#include <signal.h>
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -105,8 +108,10 @@ struct TransportKnobs {
 int reportVerdict(const LaunchResult& result) {
   for (const NodeOutcome& o : result.nodes) {
     if (o.scriptedCrash) {
+      const bool killed =
+          WIFSIGNALED(o.waitStatus) && WTERMSIG(o.waitStatus) == SIGKILL;
       std::printf("  node %d: crashed (scripted, %s)\n", o.node,
-                  o.killedByHarness ? "SIGKILL delivered" : "KILL MISSED");
+                  killed ? "SIGKILL delivered" : "KILL MISSED");
       continue;
     }
     if (!o.reportOk) {

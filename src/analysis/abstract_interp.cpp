@@ -15,12 +15,6 @@ RoundConfig canonicalAnalysisConfig(const AlgorithmEntry& entry) {
   return RoundConfig{t + 2, t};
 }
 
-std::vector<std::vector<Value>> canonicalConfigs(int n) {
-  // One canonicalizer for the whole repo: the reduction layer owns the
-  // definition, the analyzer (and its golden tables) just consume it.
-  return canonicalValueConfigs(n);
-}
-
 namespace {
 
 /// The canonical partial-broadcast shapes of a crasher's final round.
@@ -175,7 +169,7 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
   const std::vector<FailureScript> cells = enumerateScheduleCells(
       cfg, entry.intendedModel, maxCrashes);
   const int budget = crashBudget(cfg, maxCrashes);
-  const std::vector<std::vector<Value>> configs = canonicalConfigs(cfg.n);
+  const std::vector<std::vector<Value>> configs = canonicalValueConfigs(cfg.n);
 
   RoundEngineOptions engineOpt;
   engineOpt.horizon = cfg.t + 3;

@@ -45,10 +45,6 @@ namespace ssvsp {
 /// into t + 1), clamped to t = 1 for the algorithms only defined there.
 RoundConfig canonicalAnalysisConfig(const AlgorithmEntry& entry);
 
-/// Initial configurations over {0, 1} modulo value relabeling: every config
-/// with initial[0] == 0.  2^(n-1) configs instead of 2^n.
-std::vector<std::vector<Value>> canonicalConfigs(int n);
-
 /// The schedule cells for (cfg, model): deduplicated, validateScript-legal
 /// failure scripts per the quotient described above.  Polynomial in t for
 /// fixed crash budget, versus the exponential full enumeration.  Cells are

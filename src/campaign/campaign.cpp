@@ -129,17 +129,17 @@ std::optional<ShardResult> shardResultFromFile(const std::string& path,
 bool writeFileAtomic(const std::string& path, const std::string& text,
                      std::string* error) {
   const std::string tmp = path + ".tmp";
+  std::string why;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(text.data(),
-                   static_cast<std::streamsize>(text.size()))) {
-      return setError(error, "write '" + tmp + "' failed");
-    }
+    if (!out.write(text.data(), static_cast<std::streamsize>(text.size())))
+      why = "write '" + tmp + "' failed";
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    return setError(error,
-                    "rename '" + tmp + "': " + std::strerror(errno));
-  return true;
+  if (why.empty() && std::rename(tmp.c_str(), path.c_str()) != 0)
+    why = "rename '" + tmp + "': " + std::strerror(errno);
+  if (why.empty()) return true;
+  std::remove(tmp.c_str());  // a failed handoff leaves nothing behind
+  return setError(error, why);
 }
 
 /// Shard worker body (forked child).  Runs the job, makes the memo batch

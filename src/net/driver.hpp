@@ -14,10 +14,11 @@
 //
 // Scripted crashes: a CrashPlan makes the driver halt DURING a scripted
 // round after sending that round's messages to exactly the scripted
-// subset, and the node then falls silent (no heartbeats, no acks) until
-// the harness SIGKILLs the process.  The process death is real; the plan
-// only positions it within the round structure so scenarios/ scripts
-// replay with their exact crash rounds and partial broadcasts.
+// subset; the node then stops at once (no heartbeats, no acks) and the
+// launch harness's child SIGKILLs its own process.  The process death is
+// real; the plan only positions it within the round structure so
+// scenarios/ scripts replay with their exact crash rounds and partial
+// broadcasts.
 #pragma once
 
 #include <memory>

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -14,7 +15,6 @@
 
 #include "analysis/abstract_interp.hpp"
 #include "util/check.hpp"
-#include "util/serde.hpp"
 
 namespace ssvsp::net {
 
@@ -25,10 +25,11 @@ std::string reportPath(const std::string& dir, ProcessId node) {
 }
 
 /// Child body: adopt the inherited socket, run the node, write the report,
-/// _exit.  No destructors, no stdio races with the parent.
+/// _exit.  No destructors, no stdio races with the parent, and no exception
+/// unwinds into the forked copy of the caller's stack: it is printed, and
+/// the child exits non-zero.
 [[noreturn]] void runChild(int fd, const std::vector<Endpoint>& peers,
-                           const Endpoint& controlEndpoint,
-                           const LaunchSpec& spec, ProcessId self) {
+                           const LaunchSpec& spec, ProcessId self) try {
   std::string error;
   auto transport = UdpTransport::adopt(fd, &error);
   if (transport == nullptr) ::_exit(10);
@@ -45,15 +46,17 @@ std::string reportPath(const std::string& dir, ProcessId node) {
   options.link = spec.link;
   options.heartbeat = spec.heartbeat;
   options.deadlineMs = spec.deadlineMs;
-  options.control = controlEndpoint;
 
   SteadyClock clock;
   NetNode node(*transport, spec.entry->factory(self), options, clock);
   const NodeReport report = node.run();
 
-  // A scripted-crash node only reaches here if the SIGKILL never landed
-  // (deadline passed); its exit code tells the parent.
-  if (node.status() == NetNode::Status::kHalted) ::_exit(11);
+  // The scripted crash: the partial broadcast is on the wire, so die the
+  // hard way, with no report, as a crashed process does.
+  if (node.status() == NetNode::Status::kHalted) {
+    ::kill(::getpid(), SIGKILL);
+    ::_exit(127);  // unreachable
+  }
 
   std::ofstream out(reportPath(spec.reportDir, self),
                     std::ios::binary | std::ios::trunc);
@@ -61,17 +64,9 @@ std::string reportPath(const std::string& dir, ProcessId node) {
   out.flush();
   if (!out.good()) ::_exit(12);
   ::_exit(0);
-}
-
-/// Parses a kProgress control datagram; false for anything else.
-bool parseProgress(std::string_view bytes, ProgressKind* kind,
-                   std::int32_t* arg) {
-  RecordReader r(bytes);
-  if (static_cast<WireKind>(r.getU8()) != WireKind::kProgress) return false;
-  r.getU32();  // node id; the transport's peer table already resolved it
-  *kind = static_cast<ProgressKind>(r.getU8());
-  *arg = r.getI32();
-  return r.ok() && r.exhausted();
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "[node %d] %s\n", self, e.what());
+  ::_exit(13);
 }
 
 }  // namespace
@@ -140,13 +135,6 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
     peers.push_back(s->localEndpoint());
     sockets.push_back(std::move(s));
   }
-  auto control = UdpTransport::bind(&error);
-  if (control == nullptr) {
-    fail("bind control: " + error);
-    return result;
-  }
-  control->setPeers(peers);  // control datagrams resolve to node ids
-  const Endpoint controlEndpoint = control->localEndpoint();
 
   LaunchSpec childSpec = spec;
   if (childSpec.maxRounds <= 0) childSpec.maxRounds = spec.cfg.t + 2;
@@ -181,9 +169,8 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
       const int fd = sockets[static_cast<std::size_t>(p)]->fd();
       for (ProcessId q = 0; q < n; ++q)
         if (q != p) ::close(sockets[static_cast<std::size_t>(q)]->fd());
-      ::close(control->fd());
       ::close(exitPipe[0]);
-      runChild(fd, peers, controlEndpoint, childSpec, p);
+      runChild(fd, peers, childSpec, p);
     }
     outcome.pid = pid;
     if (spec.verbose)
@@ -195,57 +182,30 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
   // against the parent's fd, no ICMP refusals for the survivors).
   sockets.clear();
 
-  // Phase 3: supervise.  SIGKILL scripted-crash nodes when they announce
-  // `halted`; reap everyone; hard stop past the deadline.
+  // Phase 3: supervise.  Sleep until the exit pipe hangs up, that is until
+  // every child is dead or dying; past the deadline, kill the children that
+  // still run (a dead one ignores it).  Then reap each child by its pid.
   SteadyClock clock;
   const NetTime deadline = spec.deadlineMs + 5000;  // children stop first
-  int live = n;
-  std::vector<bool> reaped(static_cast<std::size_t>(n), false);
-  std::string bytes;
-  ProcessId from = kNoProcess;
-  while (live > 0) {
-    if (clock.nowMs() > deadline) {
-      fail("harness deadline exceeded with " + std::to_string(live) +
-           " nodes still running");
-      for (const NodeOutcome& o : result.nodes)
-        if (o.pid > 0) ::kill(o.pid, SIGKILL);
-    }
-    pollfd fds[2] = {{control->fd(), POLLIN, 0}, {exitPipe[0], POLLIN, 0}};
-    ::poll(fds, 2, 20);
-    // Hang-up: every child has closed its write end, so each one is dead
-    // or dying; wait for them instead of polling again.
-    const bool allExited = (fds[1].revents & (POLLHUP | POLLERR)) != 0;
-    while (control->tryRecv(&bytes, &from)) {
-      ProgressKind kind{};
-      std::int32_t arg = 0;
-      if (!parseProgress(bytes, &kind, &arg)) continue;
-      NodeOutcome& o = result.nodes[static_cast<std::size_t>(from)];
-      if (kind == ProgressKind::kHalted && !o.killedByHarness) {
-        // The scripted crash: the node has executed its partial broadcast
-        // and gone silent; make the death real.
-        o.killedByHarness = true;
-        ::kill(o.pid, SIGKILL);
-        if (spec.verbose)
-          std::cerr << "[harness] SIGKILL node " << from << " after round "
-                    << arg << "\n";
-      } else if (spec.verbose && kind == ProgressKind::kDecided) {
-        std::cerr << "[harness] node " << from << " decided in round " << arg
-                  << "\n";
-      }
-    }
-    for (std::size_t i = 0; i < reaped.size(); ++i) {
-      if (reaped[i]) continue;
-      NodeOutcome& o = result.nodes[i];
-      int status = 0;
-      const pid_t got = ::waitpid(o.pid, &status, allExited ? 0 : WNOHANG);
-      if (got == o.pid) o.waitStatus = status;
-      if (got == o.pid || (got < 0 && errno == ECHILD)) {
-        reaped[i] = true;
-        --live;
-      }
-    }
-  }
+  pollfd exitEnd{exitPipe[0], POLLIN, 0};
+  const auto hungUp = [&] {
+    return (exitEnd.revents & (POLLHUP | POLLERR)) != 0;
+  };
+  for (NetTime now = clock.nowMs(); !hungUp() && now < deadline;
+       now = clock.nowMs())
+    ::poll(&exitEnd, 1, static_cast<int>(deadline - now));
   ::close(exitPipe[0]);
+  if (!hungUp()) {
+    fail("harness deadline exceeded; the nodes still running were killed");
+    for (const NodeOutcome& o : result.nodes) ::kill(o.pid, SIGKILL);
+  }
+  for (NodeOutcome& o : result.nodes) {
+    while (::waitpid(o.pid, &o.waitStatus, 0) < 0 && errno == EINTR) {
+    }
+    if (spec.verbose && WIFSIGNALED(o.waitStatus))
+      std::cerr << "[harness] node " << o.node << " killed by signal "
+                << WTERMSIG(o.waitStatus) << "\n";
+  }
 
   // Phase 4: collect reports and render the verdict.
   result.observedCrashes = spec.script.numCrashes();
@@ -254,14 +214,10 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
 
   for (NodeOutcome& o : result.nodes) {
     if (o.scriptedCrash) {
-      if (!o.killedByHarness)
+      if (!WIFSIGNALED(o.waitStatus) || WTERMSIG(o.waitStatus) != SIGKILL)
         fail("node " + std::to_string(o.node) +
-             " was scripted to crash but never reached its crash round");
-      else if (!WIFSIGNALED(o.waitStatus) ||
-               WTERMSIG(o.waitStatus) != SIGKILL)
-        fail("node " + std::to_string(o.node) +
-             " outlived its SIGKILL (status " + std::to_string(o.waitStatus) +
-             ")");
+             " was scripted to crash but never reached its crash round "
+             "(status " + std::to_string(o.waitStatus) + ")");
       continue;
     }
     if (!WIFEXITED(o.waitStatus) || WEXITSTATUS(o.waitStatus) != 0) {

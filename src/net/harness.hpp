@@ -4,20 +4,18 @@
 // launchCluster() runs one consensus instance as n genuine OS processes on
 // UDP loopback and returns a machine-checked verdict:
 //
-//   * the parent binds EVERY socket (n node sockets + 1 control socket, all
-//     kernel-assigned ports) BEFORE forking, so the address book is complete
-//     and race-free when the first child starts — children adopt their
-//     inherited fd (UdpTransport::adopt), the campaign layer's
-//     fork-without-exec pattern;
+//   * the parent binds the n node sockets (kernel-assigned ports) BEFORE
+//     forking, so the address book is complete and race-free when the
+//     first child starts — children adopt their inherited fd
+//     (UdpTransport::adopt), the campaign layer's fork-without-exec pattern;
 //   * scripted crashes are real deaths: the doomed child executes its crash
-//     round's partial broadcast, falls silent, and repeats a tiny `halted`
-//     control datagram; the parent answers with SIGKILL.  Nothing about the
-//     kill is cooperative beyond its placement in the round structure;
-//   * survivors write NodeReport JSON files; the parent reaps every child
-//     (woken when an exit pipe the children hold hangs up, not by a
-//     timer), collects the reports, and checks the consensus contract —
-//     uniform agreement, validity, termination — plus the paper's
-//     efficiency bound:
+//     round's partial broadcast and SIGKILLs itself.  Nothing about the
+//     death is cooperative beyond its placement in the round structure;
+//   * survivors write NodeReport JSON files; the parent sleeps until an
+//     exit pipe the children hold hangs up (or the deadline passes), reaps
+//     every child, judges each scripted crash by its wait status alone,
+//     collects the reports, and checks the consensus contract — uniform
+//     agreement, validity, termination — plus the paper's efficiency bound:
 //     every observed decision round must be <= Lat(A, f) as computed by the
 //     static analyzer (src/analysis) for f = scripted crashes.  A run that
 //     decides later than the analyzer's worst case means the transport
@@ -59,8 +57,7 @@ struct NodeOutcome {
   ProcessId node = kNoProcess;
   pid_t pid = -1;
   bool scriptedCrash = false;
-  bool killedByHarness = false;  ///< SIGKILL delivered on `halted`
-  int waitStatus = 0;            ///< raw waitpid status
+  int waitStatus = 0;  ///< raw waitpid status; SIGKILL for a scripted crash
   bool reportOk = false;
   std::string reportError;
   NodeReport report;

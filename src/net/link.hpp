@@ -42,7 +42,6 @@ enum class WireKind : std::uint8_t {
   kData = 1,       ///< PerfectLink data: src u32 | seq u64 | payload bytes
   kAck = 2,        ///< PerfectLink ack:  src u32 | seq u64
   kHeartbeat = 3,  ///< raw FD heartbeat: src u32 (not link-mediated)
-  kProgress = 4,   ///< control plane: node -> harness round progress
 };
 
 /// First byte of every PerfectLink payload: the channel above the link the

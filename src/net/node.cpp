@@ -46,17 +46,6 @@ NetNode::NetNode(UdpTransport& transport,
   SSVSP_CHECK(static_cast<int>(transport.peers().size()) == options.cfg.n);
 }
 
-void NetNode::sendControl(ProgressKind kind, std::int32_t arg) {
-  if (options_.control.port == 0) return;
-  std::string out;
-  RecordWriter w(out);
-  w.putU8(static_cast<std::uint8_t>(WireKind::kProgress));
-  w.putU32(static_cast<std::uint32_t>(options_.self));
-  w.putU8(static_cast<std::uint8_t>(kind));
-  w.putI32(arg);
-  transport_.sendTo(options_.control, out);  // unreliable by design
-}
-
 void NetNode::broadcastHeartbeat() {
   const std::string frame = monitor_.heartbeatFrame();
   for (ProcessId q = 0; q < options_.cfg.n; ++q)
@@ -70,7 +59,6 @@ void NetNode::becomeDone(NetTime now) {
   const std::string frame = frameDone();
   for (ProcessId q = 0; q < options_.cfg.n; ++q)
     if (q != options_.self) link_.send(q, frame);
-  sendControl(ProgressKind::kDone, driver_.roundsCompleted());
 }
 
 NetNode::Status NetNode::step() {
@@ -97,19 +85,13 @@ NetNode::Status NetNode::step() {
 
   driver_.advance(suspected);
 
-  if (!decideAnnounced_ && driver_.decision().has_value()) {
-    decideAnnounced_ = true;
-    sendControl(ProgressKind::kDecided, driver_.decisionRound());
-  }
-
   if (driver_.halted()) {
     // Scripted crash: flush what the partial broadcast put in the send
     // queues as best-effort (a real crash loses unflushed buffers too),
-    // then go silent.
+    // then go silent for good.
     link_.pump(now);
     status_ = Status::kHalted;
     endedAt_ = now;
-    sendControl(ProgressKind::kHalted, driver_.roundsCompleted());
     return status_;
   }
 
@@ -143,16 +125,6 @@ NodeReport NetNode::run() {
       break;
     }
     transport_.waitReadable(1);
-  }
-
-  if (status_ == Status::kHalted) {
-    // Dead process walking: stay silent (no acks, no heartbeats) and keep
-    // pinging the harness until the SIGKILL lands or the deadline passes.
-    while (clock_.nowMs() - startedAt_ <= options_.deadlineMs) {
-      sendControl(ProgressKind::kHalted, driver_.roundsCompleted());
-      transport_.waitReadable(20);
-    }
-    timedOut_ = true;
   }
   return report();
 }

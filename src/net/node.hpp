@@ -10,7 +10,9 @@
 //     FakeClock — fully deterministic, no sockets raced.
 //
 //   * run(): the production loop — step() + waitReadable() until the node
-//     exits (or its crash plan halts it, or the deadline passes).
+//     exits (or its crash plan halts it, or the deadline passes).  A node
+//     halted by its crash plan returns at once; the launch harness's child
+//     then SIGKILLs itself, so the crash is a real process death.
 //
 // Termination: nodes must keep executing rounds after deciding (a decided
 // node that went silent would stall every peer's receive guard, since an
@@ -37,11 +39,6 @@
 //   * The report describes the done instant: a suspicion raised while the
 //     node waits (say, of a peer that exited first) is not a verdict on
 //     the run and must not read as an accuracy violation.
-//
-// Control plane: if a control endpoint is configured, the node sends tiny
-// unreliable kProgress datagrams (decided / halted / done).  The launch
-// harness uses `halted` as its cue to SIGKILL a scripted-crash node; all
-// real results travel through report files, not the control plane.
 #pragma once
 
 #include <memory>
@@ -53,13 +50,6 @@
 #include "net/heartbeat.hpp"
 
 namespace ssvsp::net {
-
-/// Second byte of a kProgress control datagram.
-enum class ProgressKind : std::uint8_t {
-  kDecided = 1,
-  kHalted = 2,
-  kDone = 3,
-};
 
 /// Everything a node knows about its own execution, serialized to JSON for
 /// the harness (schema ssvsp.report.v1, kind "net.node").
@@ -96,14 +86,13 @@ struct NodeOptions {
   LinkOptions link;
   HeartbeatOptions heartbeat;
   NetTime deadlineMs = 30000;  ///< run(): hard wall-clock stop (timedOut)
-  Endpoint control;            ///< port 0 = no control plane
 };
 
 class NetNode {
  public:
   enum class Status : std::uint8_t {
     kRunning,
-    kHalted,  ///< crash plan executed; the process must now fall silent
+    kHalted,  ///< crash plan executed; the process must now die
     kDone,    ///< rounds finished; the report is frozen, the node serves
               ///< peers until kExited
     kExited,  ///< done, and every peer announced DONE or is suspected
@@ -118,9 +107,9 @@ class NetNode {
   /// returning the same status) so drivers can loop uniformly.
   Status step();
 
-  /// The production event loop; returns the final report.  On kHalted the
-  /// loop keeps emitting `halted` control pings while awaiting the
-  /// harness's SIGKILL, bounded by the deadline.
+  /// The production event loop; returns the final report, at once when
+  /// the crash plan halts the node (kHalted), after its partial broadcast
+  /// is on the wire.
   NodeReport run();
 
   /// Snapshot of the report as of now (tests read this mid-run); from the
@@ -133,7 +122,6 @@ class NetNode {
   ProcessSet donePeers() const { return donePeers_; }
 
  private:
-  void sendControl(ProgressKind kind, std::int32_t arg);
   void broadcastHeartbeat();
   void becomeDone(NetTime now);
 
@@ -144,7 +132,6 @@ class NetNode {
   HeartbeatMonitor monitor_;
   RwsFromSpDriver driver_;
   Status status_ = Status::kRunning;
-  bool decideAnnounced_ = false;
   bool timedOut_ = false;
   ProcessSet donePeers_;
   NetTime startedAt_ = 0;

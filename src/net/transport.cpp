@@ -78,12 +78,8 @@ Endpoint UdpTransport::localEndpoint() const {
 
 SendResult UdpTransport::trySend(ProcessId dst, std::string_view bytes) {
   SSVSP_CHECK(dst >= 0 && static_cast<std::size_t>(dst) < peers_.size());
-  return sendTo(peers_[static_cast<std::size_t>(dst)], bytes);
-}
-
-SendResult UdpTransport::sendTo(const Endpoint& dst, std::string_view bytes) {
   SSVSP_CHECK(bytes.size() <= kMaxDatagram);
-  sockaddr_in sa = toSockaddr(dst);
+  sockaddr_in sa = toSockaddr(peers_[static_cast<std::size_t>(dst)]);
   while (true) {
     const ssize_t n =
         ::sendto(fd_, bytes.data(), bytes.size(), 0,

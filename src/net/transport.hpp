@@ -89,11 +89,6 @@ class UdpTransport : public Transport {
   SendResult trySend(ProcessId dst, std::string_view bytes) override;
   bool tryRecv(std::string* bytes, ProcessId* from) override;
 
-  /// Sends one datagram to an arbitrary endpoint outside the peer table
-  /// (the launch harness's control plane).  Would-block drops are fine
-  /// there: progress reports are repeated.
-  SendResult sendTo(const Endpoint& dst, std::string_view bytes);
-
   /// Blocks until the socket is readable or `timeoutMs` elapses (0 = poll).
   /// The node event loop's idle wait.
   void waitReadable(int timeoutMs);

@@ -17,6 +17,7 @@
 
 #include "analysis/abstract_interp.hpp"
 #include "consensus/registry.hpp"
+#include "explore/reduction.hpp"
 #include "rounds/engine.hpp"
 
 namespace {
@@ -75,7 +76,8 @@ TEST(EngineAllocations, SteadyStateRunsAllocateNothing) {
     const RoundConfig cfg{base.t + 3, base.t};
     const std::vector<FailureScript> cells =
         enumerateScheduleCells(cfg, entry.intendedModel);
-    const std::vector<std::vector<Value>> configs = canonicalConfigs(cfg.n);
+    const std::vector<std::vector<Value>> configs =
+        canonicalValueConfigs(cfg.n);
     ASSERT_FALSE(cells.empty());
 
     for (const bool traced : {false, true}) {

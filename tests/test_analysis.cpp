@@ -16,6 +16,7 @@
 #include "analysis/analysis.hpp"
 #include "analysis/golden.hpp"
 #include "consensus/registry.hpp"
+#include "explore/reduction.hpp"
 #include "lint/codes.hpp"
 #include "mc/checker.hpp"
 #include "net/harness.hpp"
@@ -215,7 +216,7 @@ TEST(Analysis, FitClosedFormRejectsNonPaperShapes) {
 // --- the abstract domain itself -------------------------------------------
 
 TEST(Analysis, CanonicalConfigsQuotientTheValueRelabeling) {
-  const auto configs = canonicalConfigs(4);
+  const auto configs = canonicalValueConfigs(4);
   EXPECT_EQ(configs.size(), 8u);  // 2^(n-1)
   for (const auto& c : configs) {
     ASSERT_EQ(c.size(), 4u);

@@ -685,7 +685,8 @@ TEST_F(CampaignTest, FailingWorkerEndsTheCampaign) {
   const CampaignResult result = runCampaign(spec, options);
   ::rmdir((blocked + "/x").c_str());
   ::rmdir(blocked.c_str());
-  std::remove((blocked + ".tmp").c_str());
+  // The failed handoff leaves no temporary file behind.
+  EXPECT_EQ(fileSize(blocked + ".tmp"), -1);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.error, "shard 0: worker exited with status 4");
   EXPECT_EQ(result.workerDeaths, 0);

@@ -15,14 +15,21 @@
 //   * a malformed DONE link message is ignored;
 //   * RwsFromSpDriver keeps the first copy of a duplicate round frame, also
 //     one re-sent after the original was consumed;
-//   * NodeReport JSON round trip (the harness's child-to-parent channel).
-//
-// The fork/SIGKILL half of the harness is exercised by the ssvsp_net CLI
-// and the transport-smoke CI leg, not here — gtest and fork() make poor
-// roommates.
+//   * NodeReport JSON round trip (the harness's child-to-parent channel);
+//   * launchCluster end to end: n forked node processes, failure-free and
+//     with a scripted crash that kills its own process, plus the two
+//     verdict failures a launch must catch (a crash round the run never
+//     reaches, a mistimed P).  The children are forked from this test
+//     binary, as test_campaign forks its workers; each one ends in _exit or
+//     its own SIGKILL and never returns into the test runner.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <stdlib.h>
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -615,6 +622,84 @@ TEST(RwsFromSpDriverTest, DuplicateRoundFrameKeepsTheFirstCopy) {
   EXPECT_EQ(resent.secondAdvance, once.secondAdvance);
   EXPECT_EQ(resent.heardPerRound, once.heardPerRound);
   EXPECT_EQ(resent.lateDeliveries, 0);
+}
+
+/// launchCluster on FloodSetWS at n = 4, t = 2 with values 0 1 1 0: four
+/// forked processes on loopback, reports in a fresh temporary directory.
+class LaunchClusterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/ssvsp_net_test_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    spec_.entry = findAlgorithm("FloodSetWS");
+    spec_.cfg = RoundConfig{4, 2};
+    spec_.values = {0, 1, 1, 0};
+    spec_.reportDir = tmpl;
+  }
+  void TearDown() override { std::filesystem::remove_all(spec_.reportDir); }
+
+  /// p0 crashes in `round`, and its last broadcast reaches nobody.
+  void crashP0(Round round) {
+    spec_.script.crashes.push_back(CrashEvent{0, round, ProcessSet{}});
+  }
+
+  LaunchSpec spec_;
+};
+
+std::string failuresOf(const LaunchResult& result) {
+  std::string out;
+  for (const std::string& failure : result.failures) out += failure + "\n";
+  return out;
+}
+
+TEST_F(LaunchClusterTest, FailureFreeClusterDecidesAndEveryChildExitsZero) {
+  const LaunchResult result = launchCluster(spec_);
+  ASSERT_TRUE(result.ok) << failuresOf(result);
+  ASSERT_EQ(result.nodes.size(), 4u);
+  for (const NodeOutcome& o : result.nodes) {
+    EXPECT_TRUE(WIFEXITED(o.waitStatus) && WEXITSTATUS(o.waitStatus) == 0)
+        << "p" << o.node << " status " << o.waitStatus;
+    ASSERT_TRUE(o.reportOk) << "p" << o.node << ": " << o.reportError;
+    EXPECT_EQ(o.report.suspectedFinal, 0u) << "p" << o.node;
+  }
+}
+
+TEST_F(LaunchClusterTest, ScriptedCrashKillsItsOwnProcess) {
+  crashP0(1);
+  const LaunchResult result = launchCluster(spec_);
+  ASSERT_TRUE(result.ok) << failuresOf(result);
+  ASSERT_EQ(result.nodes.size(), 4u);
+  const NodeOutcome& victim = result.nodes[0];
+  EXPECT_TRUE(victim.scriptedCrash);
+  EXPECT_TRUE(WIFSIGNALED(victim.waitStatus) &&
+              WTERMSIG(victim.waitStatus) == SIGKILL)
+      << "status " << victim.waitStatus;
+  EXPECT_FALSE(victim.reportOk);
+  for (std::size_t p = 1; p < result.nodes.size(); ++p) {
+    const NodeOutcome& o = result.nodes[p];
+    ASSERT_TRUE(o.reportOk) << "p" << p << ": " << o.reportError;
+    EXPECT_EQ(o.report.suspectedFinal, ProcessSet::single(0).mask())
+        << "p" << p;
+  }
+}
+
+TEST_F(LaunchClusterTest, CrashRoundPastTheRunFailsTheVerdict) {
+  crashP0(5);  // the nodes run t + 2 = 4 rounds
+  const LaunchResult result = launchCluster(spec_);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(failuresOf(result).find("never reached its crash round"),
+            std::string::npos)
+      << failuresOf(result);
+}
+
+TEST_F(LaunchClusterTest, MistimedPerfectDetectorFailsTheVerdict) {
+  crashP0(1);
+  spec_.heartbeat.timeoutMs = 5;
+  spec_.heartbeat.periodMs = 20;
+  const LaunchResult result = launchCluster(spec_);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(failuresOf(result).find("mistimed"), std::string::npos)
+      << failuresOf(result);
 }
 
 TEST(NodeReportTest, JsonRoundTrip) {

@@ -360,7 +360,7 @@ TEST(RoundEngineResume, TracedRunsMatchFreshRunsOverTheInterpreterSpace) {
     const std::vector<FailureScript> cells =
         enumerateScheduleCells(cfg, entry.intendedModel);
     std::int64_t mismatches = 0;
-    for (const std::vector<Value>& config : canonicalConfigs(cfg.n)) {
+    for (const std::vector<Value>& config : canonicalValueConfigs(cfg.n)) {
       for (const FailureScript& script : cells) {
         engine.execute(config, script);
         const RoundRunResult& got = engine.result();
