@@ -9,8 +9,8 @@
 // the expected schema, and verifies every --expect-span names a recorded
 // span (or instant) and every --expect-counter a published counter.
 //
-// Exit status: 0 valid, 1 validation failure, 2 usage.
-#include <cstring>
+// Exit status: 0 valid, 1 validation failure, 2 usage.  Flags take both the
+// `--flag=V` and the `--flag V` spelling (ArgSpec); --help lists them.
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -18,18 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "util/argspec.hpp"
 #include "util/serde.hpp"
 
 namespace {
 
 using ssvsp::JsonValue;
-
-int usage() {
-  std::cerr << "usage: obs_artifact_check --trace=FILE --metrics=FILE\n"
-               "                          [--expect-span=NAME ...]\n"
-               "                          [--expect-counter=NAME ...]\n";
-  return 2;
-}
 
 bool readFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -104,20 +98,22 @@ bool checkMetrics(const std::string& path, std::set<std::string>* counters) {
 int main(int argc, char** argv) {
   std::string tracePath, metricsPath;
   std::vector<std::string> expectSpans, expectCounters;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      tracePath = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metricsPath = argv[i] + 10;
-    } else if (std::strncmp(argv[i], "--expect-span=", 14) == 0) {
-      expectSpans.emplace_back(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--expect-counter=", 17) == 0) {
-      expectCounters.emplace_back(argv[i] + 17);
-    } else {
-      return usage();
-    }
+  ssvsp::ArgSpec args(
+      "obs_artifact_check --trace=FILE --metrics=FILE [--expect-span=NAME "
+      "...] [--expect-counter=NAME ...]",
+      "Validates the --trace-out / --metrics-out artifacts; exits 1 on a "
+      "validation failure, 2 on usage.");
+  args.value("trace", &tracePath, "Chrome trace_event JSON to check")
+      .value("metrics", &metricsPath, "ssvsp.metrics.v1 JSON to check")
+      .repeated("expect-span", &expectSpans,
+                "a span (or instant) the trace must record")
+      .repeated("expect-counter", &expectCounters,
+                "a counter the metrics must publish");
+  args.parse(&argc, argv);
+  if (tracePath.empty() && metricsPath.empty()) {
+    std::cerr << args.help();
+    return 2;
   }
-  if (tracePath.empty() && metricsPath.empty()) return usage();
 
   bool ok = true;
   std::set<std::string> spans, counters;

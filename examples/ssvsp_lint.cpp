@@ -6,6 +6,7 @@
 //   $ ./ssvsp_lint --spec "n=3 t=2 model=rws lags=1:0"   # inline sweep spec
 //   $ ./ssvsp_lint --json --budget 1000000 ...     # JSON, custom L208 budget
 //   $ ./ssvsp_lint --fail-on=warning ...           # -Werror for lints
+//   $ ./ssvsp_lint --help                          # flags and spec keys
 //   $ ./ssvsp_lint --footprints                    # lint registry footprints
 //   $ ./ssvsp_lint --param                         # lint parametric claims
 //
@@ -17,8 +18,8 @@
 // soundness story (reduction=symmetry_por).  Exit status: 0 when no
 // artifact tripped the --fail-on threshold (errors by default; notes never
 // fail a lint), 1 when at least one did, 2 on usage or I/O problems.
+// Flags take both the `--flag=V` and the `--flag V` spelling (ArgSpec).
 // Diagnostic codes are documented in DESIGN.md section 8.
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -29,40 +30,11 @@
 #include "indep/independence.hpp"
 #include "lint/lint.hpp"
 #include "param/certifier.hpp"
+#include "util/argspec.hpp"
 
 namespace {
 
 using namespace ssvsp;
-
-int usage() {
-  std::cerr
-      << "usage: ssvsp_lint [--json] [--budget N] [--fail-on=error|warning]\n"
-         "                  [file.txt | file.spec ...]\n"
-         "       ssvsp_lint [--json] [--budget N] --spec \"k=v ...\"\n"
-         "\n"
-         "Lints scenario files (*.txt), sweep-spec files (*.spec) and/or one\n"
-         "inline sweep spec; exits nonzero when any artifact trips the\n"
-         "--fail-on threshold (default: errors only).\n"
-         "\n"
-         "spec keys (space- or comma-separated k=v pairs; '#' comments):\n"
-         "  n, t            round config (required)\n"
-         "  model           rs | rws (default rs)\n"
-         "  horizon         enumeration horizon (default 3)\n"
-         "  maxCrashes      crash bound (default 1)\n"
-         "  lags            pending-lag menu, ':'-separated,\n"
-         "                  e.g. lags=1:0 (default empty)\n"
-         "  domain          value domain size (default 2)\n"
-         "  reduction       none | symmetry | symmetry_por\n"
-         "  threads, chunk, maxScripts   sweep engine knobs\n"
-         "--budget N        script-space size that triggers L208\n"
-         "--fail-on=SEV     fail on warnings too, not just errors\n"
-         "--footprints      lint every registry footprint (L510-L512)\n"
-         "--footprints-n N  system size the footprints are linted at "
-         "(default 4)\n"
-         "--param           lint every registry parametric claim (L600-L604)\n"
-         "--json            machine-readable output\n";
-  return 2;
-}
 
 bool endsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -73,51 +45,52 @@ bool endsWith(const std::string& s, const std::string& suffix) {
 
 int main(int argc, char** argv) {
   bool json = false;
+  std::string failOnText = "error";
   FailOn failOn = FailOn::kError;
   SweepLintOptions lintOpt;
   std::string specText;
-  bool haveSpec = false;
   bool footprints = false;
   bool paramClaims = false;
   int footprintsN = 4;
   std::vector<std::string> files;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--budget") == 0) {
-      if (++i >= argc) return usage();
-      try {
-        lintOpt.scriptBudget = std::stoll(argv[i]);
-      } catch (const std::exception&) {
-        return usage();
-      }
-    } else if (std::strncmp(argv[i], "--fail-on=", 10) == 0) {
-      if (!parseFailOn(argv[i] + 10, &failOn)) return usage();
-    } else if (std::strcmp(argv[i], "--spec") == 0) {
-      if (++i >= argc) return usage();
-      specText = argv[i];
-      haveSpec = true;
-    } else if (std::strcmp(argv[i], "--footprints") == 0) {
-      footprints = true;
-    } else if (std::strcmp(argv[i], "--param") == 0) {
-      paramClaims = true;
-    } else if (std::strcmp(argv[i], "--footprints-n") == 0) {
-      if (++i >= argc) return usage();
-      try {
-        footprintsN = std::stoi(argv[i]);
-      } catch (const std::exception&) {
-        return usage();
-      }
-      footprints = true;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      return usage();
-    } else {
-      files.emplace_back(argv[i]);
-    }
+  ArgSpec args(
+      "ssvsp_lint [options] [file.txt | file.spec ...]",
+      "Lints scenario files (*.txt), sweep-spec files (*.spec) and/or one\n"
+      "inline sweep spec; exits 1 when any artifact trips the --fail-on\n"
+      "threshold (default: errors only), 2 on usage or I/O problems.\n"
+      "\n"
+      "spec keys (space- or comma-separated k=v pairs; '#' comments):\n"
+      "  n, t            round config (required)\n"
+      "  model           rs | rws (default rs)\n"
+      "  horizon         enumeration horizon (default 3)\n"
+      "  maxCrashes      crash bound (default 1)\n"
+      "  lags            pending-lag menu, ':'-separated,\n"
+      "                  e.g. lags=1:0 (default empty)\n"
+      "  domain          value domain size (default 2)\n"
+      "  reduction       none | symmetry | symmetry_por\n"
+      "  threads, chunk, maxScripts   sweep engine knobs");
+  args.flag("json", &json, "machine-readable output")
+      .value("budget", &lintOpt.scriptBudget,
+             "script-space size that triggers L208")
+      .value("fail-on", &failOnText, "exit-1 threshold: error|warning")
+      .value("spec", &specText, "inline sweep spec \"k=v ...\"")
+      .flag("footprints", &footprints,
+            "lint every registry footprint (L510-L512)")
+      .value("footprints-n", &footprintsN,
+             "system size the footprints are linted at (default 4; implies "
+             "--footprints)")
+      .flag("param", &paramClaims,
+            "lint every registry parametric claim (L600-L604)")
+      .rest("file", &files, "scenario (*.txt) or sweep-spec (*.spec) files");
+  args.parse(&argc, argv);
+  footprints = footprints || args.seen("footprints-n");
+  const bool haveSpec = args.seen("spec");
+  if (!parseFailOn(failOnText, &failOn) ||
+      (!haveSpec && !footprints && !paramClaims && files.empty())) {
+    std::cerr << args.help();
+    return 2;
   }
-  if (!haveSpec && !footprints && !paramClaims && files.empty())
-    return usage();
 
   bool failed = false;
   bool firstJson = true;

@@ -182,7 +182,12 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
   bounds.cells = static_cast<std::int64_t>(cells.size());
 
   // Joined per exact crash count first; prefixes give the <= f semantics.
+  // A worst decision round of kNoRound (termination failed) absorbs.
+  const auto joinLatest = [](Round a, Round b) {
+    return a == kNoRound || b == kNoRound ? kNoRound : std::max(a, b);
+  };
   std::vector<PerBudgetBounds> byExact(static_cast<std::size_t>(budget) + 1);
+  std::vector<Round> latestByExact(byExact.size(), 0);
   std::vector<Round> minPerConfig(configs.size(), kNoRound);
 
   // One pooled engine, configs outer: consecutive runs share their initial
@@ -197,19 +202,15 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
       if (observer) observer(run);
 
       const Round lr = run.latency();
-      PerBudgetBounds& agg =
-          byExact[static_cast<std::size_t>(script.numCrashes())];
-      if (lr != kNoRound &&
-          (agg.earliest == kNoRound || lr < agg.earliest))
-        agg.earliest = lr;
-      if (lr == kNoRound || agg.latest == kNoRound)
-        agg.latest = kNoRound;
-      else
-        agg.latest = std::max(agg.latest, lr);
+      const auto crashes = static_cast<std::size_t>(script.numCrashes());
+      if (lr != kNoRound && (bounds.lat == kNoRound || lr < bounds.lat))
+        bounds.lat = lr;
+      latestByExact[crashes] = joinLatest(latestByExact[crashes], lr);
 
       Round& cmin = minPerConfig[ci];
       if (lr != kNoRound && (cmin == kNoRound || lr < cmin)) cmin = lr;
 
+      PerBudgetBounds& agg = byExact[crashes];
       for (std::size_t r = 0; r < run.sentPerRound.size(); ++r) {
         agg.maxMsgsPerRound =
             std::max(agg.maxMsgsPerRound, run.sentPerRound[r]);
@@ -223,34 +224,23 @@ AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
   }
 
   // Prefix-join: every quantity is monotone in the crash budget.
-  bounds.byMaxCrashes.resize(byExact.size());
+  Round latest = 0;
   PerBudgetBounds running;
   for (std::size_t f = 0; f < byExact.size(); ++f) {
+    latest = joinLatest(latest, latestByExact[f]);
+    bounds.latByF.push_back(latest);
     const PerBudgetBounds& e = byExact[f];
-    if (e.earliest != kNoRound &&
-        (running.earliest == kNoRound || e.earliest < running.earliest))
-      running.earliest = e.earliest;
-    if (e.latest == kNoRound || running.latest == kNoRound)
-      running.latest = kNoRound;
-    else
-      running.latest = std::max(running.latest, e.latest);
     running.maxMsgsPerRound =
         std::max(running.maxMsgsPerRound, e.maxMsgsPerRound);
     running.quiescence = std::max(running.quiescence, e.quiescence);
     running.peakPendingInFlight =
         std::max(running.peakPendingInFlight, e.peakPendingInFlight);
-    bounds.byMaxCrashes[f] = running;
+    bounds.byMaxCrashes.push_back(running);
   }
 
-  bounds.lat = bounds.byMaxCrashes.back().earliest;
-  bounds.lambda = bounds.byMaxCrashes.front().latest;
-  bounds.latMax = 0;
-  for (Round cmin : minPerConfig) {
-    if (cmin == kNoRound)
-      bounds.latMax = kNoRound;
-    else if (bounds.latMax != kNoRound)
-      bounds.latMax = std::max(bounds.latMax, cmin);
-  }
+  bounds.lambda = bounds.latByF.front();
+  for (Round cmin : minPerConfig)
+    bounds.latMax = joinLatest(bounds.latMax, cmin);
   return bounds;
 }
 

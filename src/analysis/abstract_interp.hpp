@@ -34,6 +34,7 @@
 #include <optional>
 #include <vector>
 
+#include "consensus/bounds.hpp"
 #include "consensus/registry.hpp"
 #include "rounds/engine.hpp"
 
@@ -54,11 +55,9 @@ std::vector<FailureScript> enumerateScheduleCells(
     const RoundConfig& cfg, RoundModel model,
     std::optional<int> maxCrashes = std::nullopt);
 
-/// Join of all cells with at most f crashes (index f of
+/// Traffic joined over all cells with at most f crashes (index f of
 /// AbstractBounds::byMaxCrashes).
 struct PerBudgetBounds {
-  Round earliest = kNoRound;  ///< min |r|; kNoRound if no run decided
-  Round latest = 0;           ///< max |r|; kNoRound if termination failed
   std::int64_t maxMsgsPerRound = 0;
   /// Worst-case last round in which any message is emitted (0: silence).
   Round quiescence = 0;
@@ -66,12 +65,12 @@ struct PerBudgetBounds {
   int peakPendingInFlight = 0;
 };
 
-struct AbstractBounds {
+/// The derived degrees — lat(A): min |r| over all cells; Lat(A): max over
+/// configs of the per-config min; Lat(A, f) = latByF[f]: max |r| over the
+/// cells with at most f crashes, f = 0 .. budget — plus the traffic.
+struct AbstractBounds : LatencyDegrees {
   RoundConfig cfg;
   RoundModel model = RoundModel::kRs;
-  Round lat = kNoRound;     ///< lat(A): min |r| over all cells
-  Round latMax = 0;         ///< Lat(A): max over configs of per-config min
-  Round lambda = kNoRound;  ///< Lambda(A) = Lat(A, 0)
   std::vector<PerBudgetBounds> byMaxCrashes;  ///< index f = 0 .. budget
   std::int64_t cells = 0;   ///< schedule cells interpreted
   std::int64_t runs = 0;    ///< cells x canonical configs
@@ -87,9 +86,9 @@ using RunObserver = std::function<void(const RoundRunResult&)>;
 /// Interprets `entry` over the abstract schedule space at `cfg` on one
 /// pooled RoundEngine.  Runs with horizon t + 3 and no early stop, so
 /// post-decision traffic and quiescence are visible.  `maxCrashes` (default
-/// cfg.t) bounds the cells interpreted: byMaxCrashes[f] for f <= budget is
-/// the same as the full interpretation's, and every other field (lat,
-/// latMax, cells, runs) describes the budgeted space only.
+/// cfg.t) bounds the cells interpreted: latByF[f] and byMaxCrashes[f] for
+/// f <= budget are the same as the full interpretation's, and every other
+/// field (lat, latMax, cells, runs) describes the budgeted space only.
 AbstractBounds interpretAutomaton(const AlgorithmEntry& entry,
                                   const RoundConfig& cfg,
                                   const RunObserver& observer = {},

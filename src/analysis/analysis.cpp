@@ -123,7 +123,7 @@ void StructuralEvidence::observe(const RoundRunResult& run) {
 
 void reportStructural(const StructuralEvidence& ev, DiagnosticSink& sink) {
   if (ev.belowQuorum.has_value()) {
-    sink.report(std::string(kDiagDecideBelowQuorum), Severity::kNote,
+    sink.report(kDiagDecideBelowQuorum, Severity::kNote,
                 *ev.belowQuorum,
                 "sound only under round synchrony, where silence proves a "
                 "crash; an RWS port must re-justify the rule");
@@ -133,65 +133,48 @@ void reportStructural(const StructuralEvidence& ev, DiagnosticSink& sink) {
     os << "estimates are stable from round " << ev.deadFrom
        << " but the failure-free decision waits until round "
        << ev.deadDecision << " (" << ev.deadRounds << " dead round(s))";
-    sink.report(std::string(kDiagDeadEstimateRounds), Severity::kNote,
+    sink.report(kDiagDeadEstimateRounds, Severity::kNote,
                 os.str(),
                 "an early-stopping rule (f_r <= r - 2) removes the wait");
   }
   if (ev.postDecision.has_value()) {
-    sink.report(std::string(kDiagMessageAfterDecision), Severity::kNote,
+    sink.report(kDiagMessageAfterDecision, Severity::kNote,
                 *ev.postDecision,
                 "halting msgs_i once decided saves the traffic; the paper "
                 "keeps it for uniformity of the round structure");
   }
   if (ev.pendingOverBound.has_value()) {
-    sink.report(std::string(kDiagPendingBoundExceeded), Severity::kError,
+    sink.report(kDiagPendingBoundExceeded, Severity::kError,
                 *ev.pendingOverBound,
                 "the engine or the cell enumeration violates weak round "
                 "synchrony — this is a model soundness bug");
   }
 }
 
-void reportMismatch(DiagnosticSink& sink, const std::string& source,
-                    const std::string& quantity, Round derived,
-                    Round expected) {
-  std::ostringstream os;
-  os << "derived " << quantity << " = " << fmtRound(derived)
-     << " diverges from the " << source << " bound " << fmtRound(expected);
-  sink.report(std::string(kDiagBoundMismatch), Severity::kError, os.str(),
-              "either the automaton, the declared bounds, the golden table "
-              "or the schedule-cell abstraction is wrong; they must agree");
-}
-
-void checkAgainst(DiagnosticSink& sink, const std::string& source,
-                  const AbstractBounds& derived, Round lat, Round latMax,
-                  Round lambda, const std::vector<Round>& latByF) {
-  if (derived.lat != lat) reportMismatch(sink, source, "lat(A)", derived.lat, lat);
-  if (derived.latMax != latMax)
-    reportMismatch(sink, source, "Lat(A)", derived.latMax, latMax);
-  if (derived.lambda != lambda)
-    reportMismatch(sink, source, "Lambda(A)", derived.lambda, lambda);
-  for (std::size_t f = 0; f < derived.byMaxCrashes.size(); ++f) {
-    const Round expected = f < latByF.size() ? latByF[f] : kNoRound;
-    if (derived.byMaxCrashes[f].latest != expected) {
-      std::ostringstream q;
-      q << "Lat(A, f=" << f << ")";
-      reportMismatch(sink, source, q.str(), derived.byMaxCrashes[f].latest,
-                     expected);
-    }
-  }
-}
-
-std::vector<Round> evalDeclared(const DeclaredLatencyBounds& decl, int t,
-                                Round* lat, Round* latMax, Round* lambda) {
-  *lat = decl.lat.eval(t, t);
-  *latMax = decl.latMax.eval(t, t);
-  *lambda = decl.lambda.eval(0, t);
-  std::vector<Round> byF;
-  for (int f = 0; f <= t; ++f) byF.push_back(decl.latByF.eval(f, t));
-  return byF;
-}
-
 }  // namespace
+
+void checkLatencyDegrees(const LatencyDegrees& actual,
+                         const LatencyDegrees& expected,
+                         const DegreeCheck& check, DiagnosticSink& sink) {
+  const auto compare = [&](const std::string& degree, Round got, Round want) {
+    if (got == want) return;
+    sink.report(check.code, Severity::kError,
+                check.subject + " " + degree + " = " + fmtRound(got) +
+                    " diverges from " + check.against + " " +
+                    fmtRound(want) + check.where,
+                check.hint);
+  };
+  compare("lat(A)", actual.lat, expected.lat);
+  compare("Lat(A)", actual.latMax, expected.latMax);
+  compare("Lambda(A)", actual.lambda, expected.lambda);
+  const auto at = [](const std::vector<Round>& byF, std::size_t f) {
+    return f < byF.size() ? byF[f] : kNoRound;
+  };
+  for (std::size_t f = 0;
+       f < std::max(actual.latByF.size(), expected.latByF.size()); ++f)
+    compare("Lat(A, f=" + std::to_string(f) + ")", at(actual.latByF, f),
+            at(expected.latByF, f));
+}
 
 std::optional<BoundExpr> fitClosedForm(const std::vector<Round>& latByF,
                                        int t) {
@@ -229,17 +212,16 @@ AnalysisReport analyzeAlgorithm(const AlgorithmEntry& entry,
       [&evidence](const RoundRunResult& run) { evidence.observe(run); });
   reportStructural(evidence, report.sink);
 
-  std::vector<Round> derivedByF;
-  for (const PerBudgetBounds& b : report.derived.byMaxCrashes)
-    derivedByF.push_back(b.latest);
-  report.closedForm = fitClosedForm(derivedByF, report.cfg.t);
+  report.closedForm = fitClosedForm(report.derived.latByF, report.cfg.t);
 
+  const std::string hint =
+      "either the automaton, the declared bounds, the golden table or the "
+      "schedule-cell abstraction is wrong; they must agree";
   if (report.declared.has_value()) {
-    Round lat = 0, latMax = 0, lambda = 0;
-    const std::vector<Round> byF =
-        evalDeclared(*report.declared, report.cfg.t, &lat, &latMax, &lambda);
-    checkAgainst(report.sink, "declared", report.derived, lat, latMax, lambda,
-                 byF);
+    checkLatencyDegrees(report.derived, report.declared->eval(report.cfg.t),
+                        {kDiagBoundMismatch, "derived", "the declared bound",
+                         "", hint},
+                        report.sink);
   }
 
   if (options.checkGolden && report.declared.has_value()) {
@@ -247,17 +229,19 @@ AnalysisReport analyzeAlgorithm(const AlgorithmEntry& entry,
     const GoldenBoundsRow* row = findGoldenBounds(entry.name);
     if (row == nullptr) {
       report.sink.report(
-          std::string(kDiagBoundMismatch), Severity::kError,
+          kDiagBoundMismatch, Severity::kError,
           "algorithm declares bounds but has no golden table row",
           "add the theorem values to analysis/golden.cpp");
     } else if (row->n != report.cfg.n || row->t != report.cfg.t) {
       report.sink.report(
-          std::string(kDiagBoundMismatch), Severity::kError,
+          kDiagBoundMismatch, Severity::kError,
           "golden row parameters diverge from the canonical analysis config",
           "keep golden.cpp in sync with canonicalAnalysisConfig");
     } else {
-      checkAgainst(report.sink, "golden", report.derived, row->lat,
-                   row->latMax, row->lambda, row->latByF);
+      checkLatencyDegrees(report.derived, *row,
+                          {kDiagBoundMismatch, "derived", "the golden bound",
+                           "", hint},
+                          report.sink);
     }
   }
 
@@ -277,33 +261,15 @@ AnalysisReport analyzeAlgorithm(const AlgorithmEntry& entry,
         entry.factory, report.measuredCfg, entry.intendedModel, lo);
     report.measuredProfile = profile.toString();
 
-    Round lat = 0, latMax = 0, lambda = 0;
-    const std::vector<Round> byF = evalDeclared(
-        *report.declared, report.measuredCfg.t, &lat, &latMax, &lambda);
-    auto moan = [&](const std::string& quantity, Round measured,
-                    Round expected) {
-      if (measured == expected) return;
-      std::ostringstream os;
-      os << "measured " << quantity << " = " << fmtRound(measured)
-         << " diverges from the declared bound " << fmtRound(expected)
-         << " at n = " << report.measuredCfg.n
-         << ", t = " << report.measuredCfg.t;
-      report.sink.report(std::string(kDiagBoundMismatch), Severity::kError,
-                         os.str(),
-                         "the exhaustive sweep disagrees with the theorem: "
-                         "suspect the automaton or the declared bounds");
-    };
-    moan("lat(A)", profile.lat, lat);
-    moan("Lat(A)", profile.latMax, latMax);
-    moan("Lambda(A)", profile.lambda, lambda);
-    for (int f = 0; f <= report.measuredCfg.t; ++f) {
-      const auto it = profile.latByMaxCrashes.find(f);
-      const Round measured =
-          it != profile.latByMaxCrashes.end() ? it->second : kNoRound;
-      std::ostringstream q;
-      q << "Lat(A, f=" << f << ")";
-      moan(q.str(), measured, byF[static_cast<std::size_t>(f)]);
-    }
+    const int t = report.measuredCfg.t;
+    checkLatencyDegrees(
+        profile.degrees(t), report.declared->eval(t),
+        {kDiagBoundMismatch, "measured", "the declared bound",
+         " at n = " + std::to_string(report.measuredCfg.n) +
+             ", t = " + std::to_string(t),
+         "the exhaustive sweep disagrees with the theorem: suspect the "
+         "automaton or the declared bounds"},
+        report.sink);
   }
 
   return report;
@@ -325,8 +291,8 @@ std::string AnalysisReport::toText() const {
   os << "  derived:  lat=" << fmtRound(derived.lat)
      << " Lat=" << fmtRound(derived.latMax)
      << " Lambda=" << fmtRound(derived.lambda) << " Lat(A,f)=[";
-  for (std::size_t f = 0; f < derived.byMaxCrashes.size(); ++f)
-    os << (f ? " " : "") << fmtRound(derived.byMaxCrashes[f].latest);
+  for (std::size_t f = 0; f < derived.latByF.size(); ++f)
+    os << (f ? " " : "") << fmtRound(derived.latByF[f]);
   os << "]";
   if (closedForm.has_value()) os << " ~ " << closedForm->toString();
   os << "\n";
@@ -376,8 +342,7 @@ std::string AnalysisReport::toJson() const {
   w.key("Lambda");
   roundValue(derived.lambda);
   w.key("LatByF").beginArray();
-  for (const PerBudgetBounds& b : derived.byMaxCrashes)
-    roundValue(b.latest);
+  for (Round r : derived.latByF) roundValue(r);
   w.endArray();
   w.key("closedForm");
   if (closedForm.has_value())

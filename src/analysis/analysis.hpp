@@ -19,6 +19,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/abstract_interp.hpp"
@@ -65,6 +66,26 @@ struct AnalysisReport {
   std::string toText() const;
   std::string toJson() const;
 };
+
+/// How checkLatencyDegrees words a mismatch: one error under `code` per
+/// differing degree, "<subject> <degree> = <actual> diverges from
+/// <against> <expected><where>", with `hint`.
+struct DegreeCheck {
+  std::string_view code;  ///< the caller's diagnostic code (codes.hpp)
+  std::string subject;    ///< e.g. "derived", "FloodSet: measured"
+  std::string against;    ///< e.g. "the declared bound"
+  std::string where;      ///< appended context, e.g. " at n = 3, t = 1"
+  std::string hint;
+};
+
+/// The one comparison of latency degrees (the analyzer's declared, golden
+/// and measured checks, the certifier's window rows and its sweep
+/// cross-check): reports lat, Lat, Lambda and Lat(A, f) for every f either
+/// side lists — a missing entry reads kNoRound — wherever `actual` differs
+/// from `expected`.
+void checkLatencyDegrees(const LatencyDegrees& actual,
+                         const LatencyDegrees& expected,
+                         const DegreeCheck& check, DiagnosticSink& sink);
 
 /// Fits `latByF` (index f = 0 .. t) to the paper's closed forms, trying the
 /// most specific shape first: t + 1 everywhere, then a constant, then

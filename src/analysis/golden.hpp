@@ -13,18 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "util/types.hpp"
+#include "consensus/bounds.hpp"
 
 namespace ssvsp {
 
-struct GoldenBoundsRow {
+/// The degrees {lat, Lat, Lambda, Lat(A, f) for f = 0 .. t} of one
+/// algorithm at (n, t).
+struct GoldenBoundsRow : LatencyDegrees {
   std::string name;  ///< registry name (consensus/registry.hpp)
   int n = 0;
   int t = 0;
-  Round lat = 0;     ///< lat(A)
-  Round latMax = 0;  ///< Lat(A)
-  Round lambda = 0;  ///< Lambda(A)
-  std::vector<Round> latByF;  ///< Lat(A, f) for f = 0 .. t
 };
 
 /// One row per registry algorithm with a declared contract, paper order.

@@ -126,22 +126,6 @@ std::optional<ShardResult> shardResultFromFile(const std::string& path,
   return result;
 }
 
-bool writeFileAtomic(const std::string& path, const std::string& text,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::string why;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(text.data(), static_cast<std::streamsize>(text.size())))
-      why = "write '" + tmp + "' failed";
-  }
-  if (why.empty() && std::rename(tmp.c_str(), path.c_str()) != 0)
-    why = "rename '" + tmp + "': " + std::strerror(errno);
-  if (why.empty()) return true;
-  std::remove(tmp.c_str());  // a failed handoff leaves nothing behind
-  return setError(error, why);
-}
-
 /// Shard worker body (forked child).  Runs the job, makes the memo batch
 /// durable, publishes the result file, and _exit()s — no destructors, no
 /// shared stdio flushing with the parent.  Every failure it can report
@@ -175,7 +159,8 @@ bool writeFileAtomic(const std::string& path, const std::string& text,
   }
   const std::string path =
       shardResultPath(dir, manifest.shards[index].range);
-  if (!writeFileAtomic(path, shardResultToJson(result), &error)) {
+  if (!writeFileAtomic(path, shardResultToJson(result), /*sync=*/false,
+                       &error)) {
     std::fprintf(stderr, "[campaign worker] %s\n", error.c_str());
     ::_exit(4);
   }

@@ -1,6 +1,7 @@
 #include "campaign/manifest.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -163,37 +164,20 @@ std::optional<CampaignManifest> CampaignManifest::fromJsonString(
 
 bool CampaignManifest::save(const std::string& path,
                             std::string* error) const {
-  const std::string tmp = path + ".tmp";
-  const std::string text = toJsonString();
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    return setError(error,
-                    "manifest open '" + tmp + "': " + std::strerror(errno));
-  std::size_t done = 0;
-  while (done < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string what = std::strerror(errno);
-      ::close(fd);
-      return setError(error, "manifest write: " + what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  // fsync BEFORE rename: the rename must never publish an empty file.
-  if (::fsync(fd) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(fd);
-    return setError(error, "manifest sync: " + what);
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    return setError(error, "manifest rename: " + std::string(std::strerror(errno)));
-  return true;
+  std::string why;
+  if (writeFileAtomic(path, toJsonString(), /*sync=*/true, &why)) return true;
+  return setError(error, "manifest " + why);
 }
 
 std::optional<CampaignManifest> CampaignManifest::load(
     const std::string& path, std::string* error) {
+  // An open of a directory succeeds and reads nothing, which would pass
+  // for an empty document.
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    setError(error, "manifest '" + path + "': not a regular file");
+    return std::nullopt;
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     setError(error, "manifest '" + path + "': cannot open");
@@ -202,6 +186,32 @@ std::optional<CampaignManifest> CampaignManifest::load(
   std::ostringstream text;
   text << in.rdbuf();
   return fromJsonString(text.str(), error);
+}
+
+bool writeFileAtomic(const std::string& path, const std::string& text,
+                     bool sync, std::string* error) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0)
+    return setError(error, "open '" + tmp + "': " + std::strerror(errno));
+  const auto failed = [&tmp](const char* step) {
+    return std::string(step) + " '" + tmp + "': " + std::strerror(errno);
+  };
+  std::string why;
+  for (std::size_t done = 0; why.empty() && done < text.size();) {
+    const ssize_t n = ::write(fd, text.data() + done, text.size() - done);
+    if (n >= 0)
+      done += static_cast<std::size_t>(n);
+    else if (errno != EINTR)
+      why = failed("write");
+  }
+  if (why.empty() && sync && ::fsync(fd) != 0) why = failed("sync");
+  if (::close(fd) != 0 && why.empty()) why = failed("close");
+  if (why.empty() && std::rename(tmp.c_str(), path.c_str()) != 0)
+    why = failed("rename");
+  if (why.empty()) return true;
+  ::unlink(tmp.c_str());  // a failed handoff leaves nothing behind
+  return setError(error, why);
 }
 
 }  // namespace ssvsp

@@ -90,10 +90,19 @@ struct CampaignManifest : CampaignSpec {
   static std::optional<CampaignManifest> fromJsonString(
       std::string_view text, std::string* error = nullptr);
 
-  /// Atomic save: write to `path`.tmp, fsync, rename over `path`.
+  /// Atomic save: writeFileAtomic with fsync.
   bool save(const std::string& path, std::string* error = nullptr) const;
+  /// Reads and validates `path`; refuses anything but a regular file.
   static std::optional<CampaignManifest> load(const std::string& path,
                                               std::string* error = nullptr);
 };
+
+/// The campaign's one file publisher (the manifest and every shard result):
+/// writes `text` to `path`.tmp, fsyncs it when `sync` (so the rename never
+/// publishes an empty file), and renames it over `path`, so a reader sees
+/// the old file or the new one, never a torn one.  On any failure the
+/// temporary file is removed and `error` names the failed step.
+bool writeFileAtomic(const std::string& path, const std::string& text,
+                     bool sync, std::string* error);
 
 }  // namespace ssvsp

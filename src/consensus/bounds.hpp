@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "util/types.hpp"
 
@@ -74,16 +75,46 @@ constexpr BoundExpr boundConstCapped(int c) {
   return {BoundExpr::Kind::kConstCapped, c};
 }
 
-/// The latency contract a registry algorithm declares (paper Section 5.2):
+/// The four latency degrees of Section 5.2 at one (n, t), as numbers:
 ///   lat(A)    = min |r| over all runs;
 ///   Lat(A)    = max over initial configurations C of lat(A, C);
 ///   Lambda(A) = Lat(A, 0), the worst failure-free run;
-///   Lat(A, f) = max |r| over runs with at most f crashes.
+///   Lat(A, f) = max |r| over runs with at most f crashes, f = 0 .. t.
+/// kNoRound marks a degree no run attains (a termination failure).  The
+/// analyzer's derivation, a certificate's window row, the golden table and
+/// the declared closed forms all produce this one value, and
+/// checkLatencyDegrees (analysis/analysis.hpp) is the one comparison.
+struct LatencyDegrees {
+  Round lat = kNoRound;
+  Round latMax = 0;
+  Round lambda = kNoRound;
+  std::vector<Round> latByF;
+
+  friend bool operator==(const LatencyDegrees&,
+                         const LatencyDegrees&) = default;
+};
+
+/// The latency contract a registry algorithm declares: one closed form per
+/// degree of LatencyDegrees.
 struct DeclaredLatencyBounds {
   BoundExpr lat;
   BoundExpr latMax;
   BoundExpr lambda;
   BoundExpr latByF;
+
+  /// The degrees the closed forms predict at resilience t: lat and Lat at
+  /// the full budget f = t, Lambda at f = 0, Lat(A, f) for f = 0 .. t.
+  LatencyDegrees eval(int t) const {
+    LatencyDegrees d;
+    d.lat = lat.eval(t, t);
+    d.latMax = latMax.eval(t, t);
+    d.lambda = lambda.eval(0, t);
+    for (int f = 0; f <= t; ++f) d.latByF.push_back(latByF.eval(f, t));
+    return d;
+  }
+
+  friend bool operator==(const DeclaredLatencyBounds&,
+                         const DeclaredLatencyBounds&) = default;
 };
 
 }  // namespace ssvsp

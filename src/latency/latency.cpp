@@ -28,6 +28,18 @@ std::string LatencyProfile::toString() const {
   return os.str();
 }
 
+LatencyDegrees LatencyProfile::degrees(int t) const {
+  LatencyDegrees d;
+  d.lat = lat;
+  d.latMax = latMax;
+  d.lambda = lambda;
+  for (int f = 0; f <= t; ++f) {
+    const auto it = latByMaxCrashes.find(f);
+    d.latByF.push_back(it != latByMaxCrashes.end() ? it->second : kNoRound);
+  }
+  return d;
+}
+
 namespace {
 
 /// One shard of the latency sweep.  All aggregates are per-config minima

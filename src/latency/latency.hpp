@@ -27,6 +27,7 @@
 #include <map>
 #include <string>
 
+#include "consensus/bounds.hpp"
 #include "consensus/registry.hpp"
 #include "explore/spec.hpp"
 #include "mc/enumerator.hpp"
@@ -52,6 +53,10 @@ struct LatencyProfile {
   /// termination failure (an "infinite" latency).
   std::map<int, Round> latByMaxCrashes;
   std::int64_t runsExecuted = 0;
+
+  /// The measured degrees at resilience t: Lat(A, f) for f = 0 .. t, a
+  /// crash count the sweep never reached reading kNoRound.
+  LatencyDegrees degrees(int t) const;
 
   std::string toString() const;
 };

@@ -46,11 +46,11 @@ void DiagnosticSink::add(Diagnostic d) {
   diagnostics_.push_back(std::move(d));
 }
 
-void DiagnosticSink::report(std::string code, Severity severity,
+void DiagnosticSink::report(std::string_view code, Severity severity,
                             std::string message, std::string hint,
                             SourceLocation location) {
   Diagnostic d;
-  d.code = std::move(code);
+  d.code = std::string(code);
   d.severity = severity;
   d.location = location;
   d.message = std::move(message);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -56,8 +57,8 @@ class DiagnosticSink {
  public:
   void add(Diagnostic d);
 
-  /// Convenience emitter.
-  void report(std::string code, Severity severity, std::string message,
+  /// Convenience emitter; `code` is one of the constants of codes.hpp.
+  void report(std::string_view code, Severity severity, std::string message,
               std::string hint = "", SourceLocation location = {});
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }

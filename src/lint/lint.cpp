@@ -11,24 +11,6 @@ namespace ssvsp {
 
 namespace {
 
-/// sink.report with a string_view code (the constants of codes.hpp).
-void rep(DiagnosticSink& sink, std::string_view code, Severity severity,
-         std::string message, std::string hint = "") {
-  sink.report(std::string(code), severity, std::move(message),
-              std::move(hint));
-}
-
-bool configOk(const RoundConfig& cfg) {
-  return cfg.n >= 1 && cfg.n <= kMaxProcs && cfg.t >= 0 && cfg.t < cfg.n;
-}
-
-std::string configProblem(const RoundConfig& cfg) {
-  std::ostringstream os;
-  os << "round config n=" << cfg.n << " t=" << cfg.t
-     << " out of range (need 1 <= n <= " << kMaxProcs << " and 0 <= t < n)";
-  return os.str();
-}
-
 // The estimate's arithmetic lives in util/saturating.hpp (satMul / satAdd /
 // satPow, saturating at kSatI64Max == kScriptSpaceSaturated): the closed
 // form below overflows int64 long before n reaches kMaxProcs, and a wrapped
@@ -41,138 +23,9 @@ std::string showCount(std::int64_t count) {
 
 }  // namespace
 
-void lintFailureScript(const FailureScript& script, const RoundConfig& cfg,
-                       RoundModel model, Round horizon, DiagnosticSink& sink) {
-  if (!configOk(cfg)) {
-    rep(sink, kDiagConfigOutOfRange, Severity::kError, configProblem(cfg));
-    return;  // every later bound would be judged against a broken config
-  }
-
-  if (script.numCrashes() > cfg.t) {
-    std::ostringstream os;
-    os << script.numCrashes() << " crashes exceed the resilience bound t="
-       << cfg.t;
-    rep(sink, kDiagCrashBoundExceeded, Severity::kError, os.str(),
-        "failure patterns of the model crash at most t processes");
-  }
-
-  ProcessSet seen;
-  for (const CrashEvent& c : script.crashes) {
-    if (c.p < 0 || c.p >= cfg.n) {
-      std::ostringstream os;
-      os << "crash names process " << c.p << " outside [0, " << cfg.n << ")";
-      rep(sink, kDiagCrashUnknownProcess, Severity::kError, os.str());
-      continue;
-    }
-    if (seen.contains(c.p)) {
-      std::ostringstream os;
-      os << "process " << c.p << " crashes more than once";
-      rep(sink, kDiagDuplicateCrash, Severity::kError, os.str(),
-          "crashes are permanent: keep the earliest event only");
-    }
-    seen.insert(c.p);
-    if (c.round < 1) {
-      std::ostringstream os;
-      os << "crash of process " << c.p << " in round " << c.round << " < 1";
-      rep(sink, kDiagCrashRoundOutOfRange, Severity::kError, os.str());
-    } else if (horizon >= 1 && c.round > horizon) {
-      std::ostringstream os;
-      os << "crash of process " << c.p << " in round " << c.round
-         << " lies past the horizon " << horizon;
-      rep(sink, kDiagCrashPastHorizon, Severity::kWarning, os.str(),
-          "the run ends before the crash takes effect");
-    }
-    if (!c.sendTo.isSubsetOf(ProcessSet::full(cfg.n))) {
-      std::ostringstream os;
-      os << "sendto of process " << c.p << " reaches outside Pi = [0, "
-         << cfg.n << ")";
-      rep(sink, kDiagSendToOutsidePi, Severity::kError, os.str());
-    }
-  }
-
-  if (model == RoundModel::kRs) {
-    if (!script.pendings.empty()) {
-      std::ostringstream os;
-      os << script.pendings.size()
-         << " pending choice(s) in an RS script: round synchrony delivers "
-            "every sent message in its round";
-      rep(sink, kDiagPendingInRs, Severity::kError, os.str(),
-          "switch the model to rws or drop the pending directives");
-    }
-    return;
-  }
-
-  for (std::size_t i = 0; i < script.pendings.size(); ++i) {
-    const PendingChoice& p = script.pendings[i];
-    std::ostringstream who;
-    who << "pending " << p.src << " -> " << p.dst << " round " << p.round;
-
-    if (p.src < 0 || p.src >= cfg.n || p.dst < 0 || p.dst >= cfg.n) {
-      rep(sink, kDiagPendingUnknownProcess, Severity::kError,
-          who.str() + " names a process outside [0, " +
-              std::to_string(cfg.n) + ")");
-      continue;
-    }
-    if (p.round < 1) {
-      rep(sink, kDiagPendingRoundOutOfRange, Severity::kError,
-          who.str() + ": send round < 1");
-      continue;
-    }
-    if (p.arrival != kNoRound && p.arrival <= p.round) {
-      rep(sink, kDiagPendingArrivalNotLater, Severity::kError,
-          who.str() + ": arrival " + std::to_string(p.arrival) +
-              " is not after the send round",
-          "a pending message surfaces strictly later than it was sent");
-    } else if (p.arrival != kNoRound && horizon >= 1 && p.arrival > horizon) {
-      rep(sink, kDiagArrivalPastHorizon, Severity::kWarning,
-          who.str() + ": arrival " + std::to_string(p.arrival) +
-              " lands past the horizon " + std::to_string(horizon),
-          "within the simulated prefix this behaves like 'never'");
-    }
-
-    // The message must actually be sent: a crashed process sends nothing.
-    const Round srcCrash = script.crashRound(p.src);
-    if (srcCrash < p.round) {
-      rep(sink, kDiagCrashedSenderSendsLater, Severity::kError,
-          who.str() + ": sender crashed in round " + std::to_string(srcCrash) +
-              " and cannot send afterwards",
-          "crash monotonicity: no step after the crash round");
-    } else if (srcCrash == p.round &&
-               !script.sendSubset(p.src, cfg.n).contains(p.dst)) {
-      rep(sink, kDiagPendingNeverSent, Severity::kError,
-          who.str() + ": the crash-round sendto of process " +
-              std::to_string(p.src) + " does not include " +
-              std::to_string(p.dst),
-          "only messages that were sent can be pending");
-    }
-
-    // Weak round synchrony: if dst is alive at the end of round p.round,
-    // src must crash by the end of round p.round + 1.
-    const Round dstCrash = script.crashRound(p.dst);
-    const bool dstAliveAtEnd = dstCrash == kNoRound || dstCrash > p.round;
-    if (dstAliveAtEnd && !(srcCrash != kNoRound && srcCrash <= p.round + 1)) {
-      rep(sink, kDiagWeakRoundSynchrony, Severity::kError,
-          who.str() + ": receiver survives round " + std::to_string(p.round) +
-              " but the sender does not crash by round " +
-              std::to_string(p.round + 1),
-          "weak round synchrony: a sender silent towards a surviving "
-          "receiver in round r is crashed by the end of round r+1");
-    }
-
-    for (std::size_t j = 0; j < i; ++j) {
-      const PendingChoice& q = script.pendings[j];
-      if (q.src == p.src && q.dst == p.dst && q.round == p.round) {
-        rep(sink, kDiagDuplicatePending, Severity::kError,
-            who.str() + ": duplicate pending entry for the same message");
-        break;
-      }
-    }
-  }
-}
-
 std::int64_t estimateScriptSpace(const RoundConfig& cfg, RoundModel model,
                                  const EnumOptions& options) {
-  if (!configOk(cfg) || options.horizon < 1) return 0;
+  if (!configInRange(cfg) || options.horizon < 1) return 0;
   const int maxCrashes = std::clamp(options.maxCrashes, 0, cfg.t);
 
   // Per crashed process: a crash round times a partial-send subset of the
@@ -207,62 +60,61 @@ std::int64_t estimateScriptSpace(const RoundConfig& cfg, RoundModel model,
 void lintExploreSpec(const ExploreSpec& spec, const RoundConfig& cfg,
                      RoundModel model, DiagnosticSink& sink,
                      const SweepLintOptions& options) {
-  if (!configOk(cfg)) {
-    rep(sink, kDiagConfigOutOfRange, Severity::kError, configProblem(cfg));
-    return;  // the remaining bounds are judged against n and t
-  }
+  // The remaining bounds are judged against n and t.
+  if (!lintRoundConfig(cfg, sink)) return;
 
   const EnumOptions& e = spec.enumeration;
   if (e.horizon < 1) {
-    rep(sink, kDiagHorizonOutOfRange, Severity::kError,
-        "enumeration horizon " + std::to_string(e.horizon) + " < 1");
+    sink.report(kDiagHorizonOutOfRange, Severity::kError,
+                "enumeration horizon " + std::to_string(e.horizon) + " < 1");
   }
   if (e.maxCrashes < 0 || e.maxCrashes > cfg.t) {
     std::ostringstream os;
     os << "crash bound maxCrashes=" << e.maxCrashes << " outside [0, t="
        << cfg.t << "] for n=" << cfg.n;
-    rep(sink, kDiagCrashBoundVsConfig, Severity::kError, os.str(),
+    sink.report(
+        kDiagCrashBoundVsConfig, Severity::kError, os.str(),
         "the enumerator walks crash sets of size 0..maxCrashes <= t < n");
   }
 
   if (spec.valueDomain < 1) {
-    rep(sink, kDiagEmptyValueDomain, Severity::kError,
-        "value domain of size " + std::to_string(spec.valueDomain) +
-            ": no initial configuration exists");
+    sink.report(kDiagEmptyValueDomain, Severity::kError,
+                "value domain of size " + std::to_string(spec.valueDomain) +
+                    ": no initial configuration exists");
   } else if (spec.valueDomain == 1) {
-    rep(sink, kDiagDegenerateValueDomain, Severity::kWarning,
-        "value domain of size 1: every process proposes the same value, "
-        "agreement holds trivially",
-        "use valueDomain >= 2 to exercise agreement");
+    sink.report(kDiagDegenerateValueDomain, Severity::kWarning,
+                "value domain of size 1: every process proposes the same "
+                "value, agreement holds trivially",
+                "use valueDomain >= 2 to exercise agreement");
   }
 
   for (std::size_t i = 0; i < e.pendingLags.size(); ++i) {
     const int lag = e.pendingLags[i];
     if (lag < 0) {
-      rep(sink, kDiagNegativePendingLag, Severity::kError,
-          "pending lag " + std::to_string(lag) +
-              " < 0: a message cannot surface before it is sent",
-          "use lag 0 for 'never surfaces within the horizon'");
+      sink.report(kDiagNegativePendingLag, Severity::kError,
+                  "pending lag " + std::to_string(lag) +
+                      " < 0: a message cannot surface before it is sent",
+                  "use lag 0 for 'never surfaces within the horizon'");
     } else if (lag > 0 && e.horizon >= 1 && lag >= e.horizon) {
-      rep(sink, kDiagLagPastHorizon, Severity::kWarning,
-          "pending lag " + std::to_string(lag) + " >= horizon " +
-              std::to_string(e.horizon) +
-              ": every arrival lands past the horizon",
-          "lag 0 already encodes 'never surfaces within the horizon'");
+      sink.report(kDiagLagPastHorizon, Severity::kWarning,
+                  "pending lag " + std::to_string(lag) + " >= horizon " +
+                      std::to_string(e.horizon) +
+                      ": every arrival lands past the horizon",
+                  "lag 0 already encodes 'never surfaces within the horizon'");
     }
     for (std::size_t j = 0; j < i; ++j) {
       if (e.pendingLags[j] == lag) {
-        rep(sink, kDiagDuplicatePendingLag, Severity::kWarning,
-            "pending lag " + std::to_string(lag) +
-                " listed twice: the same scripts enumerate twice");
+        sink.report(kDiagDuplicatePendingLag, Severity::kWarning,
+                    "pending lag " + std::to_string(lag) +
+                        " listed twice: the same scripts enumerate twice");
         break;
       }
     }
   }
   if (model == RoundModel::kRs && !e.pendingLags.empty()) {
-    rep(sink, kDiagPendingLagsInRs, Severity::kWarning,
-        "pending-lag menu has no effect under RS: round synchrony forbids "
-        "pending messages");
+    sink.report(kDiagPendingLagsInRs, Severity::kWarning,
+                "pending-lag menu has no effect under RS: round synchrony "
+                "forbids pending messages");
   }
 
   if (spec.reduction != Reduction::kNone &&
@@ -273,19 +125,19 @@ void lintExploreSpec(const ExploreSpec& spec, const RoundConfig& cfg,
        << ", symmetryFixedIds=" << spec.symmetryFixedIds
        << "): the symmetry group is capped at "
        << SymmetryGroup::kMaxMovableIds << " movable ids";
-    rep(sink, kDiagSymmetryGroupTooLarge, Severity::kError, os.str(),
-        "sweep with reduction=none, or at a smaller n");
+    sink.report(kDiagSymmetryGroupTooLarge, Severity::kError, os.str(),
+                "sweep with reduction=none, or at a smaller n");
   }
 
   if (spec.chunkScripts < 1) {
-    rep(sink, kDiagChunkScriptsClamped, Severity::kWarning,
-        "chunkScripts " + std::to_string(spec.chunkScripts) +
-            " < 1 (the sweep engine clamps it to 1)");
+    sink.report(kDiagChunkScriptsClamped, Severity::kWarning,
+                "chunkScripts " + std::to_string(spec.chunkScripts) +
+                    " < 1 (the sweep engine clamps it to 1)");
   }
   if (spec.threads < 0) {
-    rep(sink, kDiagThreadsNegative, Severity::kWarning,
-        "threads " + std::to_string(spec.threads) +
-            " < 0 (treated as 'one worker per hardware thread')");
+    sink.report(kDiagThreadsNegative, Severity::kWarning,
+                "threads " + std::to_string(spec.threads) +
+                    " < 0 (treated as 'one worker per hardware thread')");
   }
 
   if (!sink.hasErrors()) {
@@ -294,9 +146,9 @@ void lintExploreSpec(const ExploreSpec& spec, const RoundConfig& cfg,
       std::ostringstream os;
       os << "script space bounded by " << showCount(estimate)
          << " scripts, over the sweep budget of " << options.scriptBudget;
-      rep(sink, kDiagScriptSpaceOverBudget, Severity::kWarning, os.str(),
-          "lower horizon/maxCrashes/pendingLags, or set maxScripts to cap "
-          "the sweep");
+      sink.report(kDiagScriptSpaceOverBudget, Severity::kWarning, os.str(),
+                  "lower horizon/maxCrashes/pendingLags, or set maxScripts to "
+                  "cap the sweep");
     }
   }
 }
@@ -309,7 +161,7 @@ ScenarioLintResult lintScenarioText(const std::string& text,
   out.scenario = parsed.scenario;
 
   // Forward the parse diagnostics, but replace the coarse script-invalid
-  // wrapper with the per-condition codes of lintFailureScript below.
+  // wrapper with the per-condition codes of lintFailureScript.
   for (const Diagnostic& d : parsed.diagnostics)
     if (d.code != kDiagScriptInvalid) sink.add(d);
 
@@ -320,16 +172,17 @@ ScenarioLintResult lintScenarioText(const std::string& text,
 
   if (const AlgorithmEntry* entry = findAlgorithm(sc.algorithm)) {
     if (entry->intendedModel != sc.model) {
-      rep(sink, kDiagAlgorithmModelMismatch, Severity::kNote,
+      sink.report(
+          kDiagAlgorithmModelMismatch, Severity::kNote,
           sc.algorithm + " is designed for " + toString(entry->intendedModel) +
               " but this scenario runs it in " + toString(sc.model),
           "expected for counterexample scenarios; ignore if intentional");
     }
     if (entry->requiresTLe1 && sc.cfg.t > 1) {
-      rep(sink, kDiagAlgorithmResilience, Severity::kWarning,
-          sc.algorithm + " is only proved for t <= 1 but the scenario sets "
-                         "t = " +
-              std::to_string(sc.cfg.t));
+      sink.report(kDiagAlgorithmResilience, Severity::kWarning,
+                  sc.algorithm +
+                      " is only proved for t <= 1 but the scenario sets t = " +
+                      std::to_string(sc.cfg.t));
     }
   }
   return out;
@@ -342,21 +195,21 @@ void lintScenarioForReplay(const Scenario& scenario, Round maxRounds,
   const Round horizon = maxRounds > 0 ? maxRounds : scenarioHorizon;
   for (const CrashEvent& crash : scenario.script.crashes) {
     if (crash.round == kNoRound || crash.round <= horizon) continue;
-    rep(sink, kDiagCrashBeyondReplayHorizon, Severity::kError,
-        "p" + std::to_string(crash.p) + " crashes in round " +
-            std::to_string(crash.round) +
-            ", beyond the replayable horizon of " + std::to_string(horizon) +
-            " rounds",
-        "raise the scenario horizon (or --max-rounds) to at least the crash "
-        "round, or move the crash earlier");
+    sink.report(kDiagCrashBeyondReplayHorizon, Severity::kError,
+                "p" + std::to_string(crash.p) + " crashes in round " +
+                    std::to_string(crash.round) +
+                    ", beyond the replayable horizon of " +
+                    std::to_string(horizon) + " rounds",
+                "raise the scenario horizon (or --max-rounds) to at least the "
+                "crash round, or move the crash earlier");
   }
   if (!scenario.script.pendings.empty()) {
-    rep(sink, kDiagPendingAdvisoryInReplay, Severity::kNote,
-        std::to_string(scenario.script.pendings.size()) +
-            " pending choice(s) are not enforced by the transport harness: "
-            "real network scheduling decides arrivals",
-        "crashes replay exactly; drop the pendings or accept that the "
-        "wire run realizes some other admissible RWS schedule");
+    sink.report(kDiagPendingAdvisoryInReplay, Severity::kNote,
+                std::to_string(scenario.script.pendings.size()) +
+                    " pending choice(s) are not enforced by the transport "
+                    "harness: real network scheduling decides arrivals",
+                "crashes replay exactly; drop the pendings or accept that the "
+                "wire run realizes some other admissible RWS schedule");
   }
 }
 
@@ -452,8 +305,8 @@ void lintSpecText(const std::string& text, DiagnosticSink& sink,
   ExploreSpec spec;
   std::string problem;
   if (!parseSweepSpecText(text, &cfg, &model, &spec, &problem)) {
-    rep(sink, kDiagSpecParseError, Severity::kError, problem,
-        "write space/comma-separated k=v pairs; see ssvsp_lint --help");
+    sink.report(kDiagSpecParseError, Severity::kError, problem,
+                "write space/comma-separated k=v pairs; see ssvsp_lint --help");
     return;
   }
   lintExploreSpec(spec, cfg, model, sink, options);

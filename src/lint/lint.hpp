@@ -4,14 +4,14 @@
 // synchrony (a sender silent in round r towards a surviving receiver is
 // crashed by the end of round r+1), crash monotonicity (a process crashes at
 // most once and takes no step afterwards) and f-bounded failure patterns (at
-// most t crashes).  The round engines enforce those conditions dynamically:
-// validateScript / SSVSP_CHECK throw in the middle of a run.  This module
-// proves them *statically*, before any run executes, over the library's
-// three artifact kinds:
+// most t crashes).  The round engine's gate, validateScript, rejects a
+// script in the middle of a sweep; this module judges the library's three
+// artifact kinds *before* any run executes, by the same rules:
 //
-//   * FailureScript  — lintFailureScript: every condition validateScript
-//     rejects, with one stable code each, plus horizon-relative warnings
-//     (crashes or arrivals that land past the simulated prefix);
+//   * FailureScript  — lintFailureScript (rounds/failure_script.hpp): the
+//     one implementation of the L1xx rules, whose first error is
+//     validateScript's verdict, plus horizon-relative warnings (crashes or
+//     arrivals that land past the simulated prefix);
 //   * ExploreSpec    — lintExploreSpec: crash bound vs the config, value
 //     domains, pending-lag menus, plus a closed-form upper bound on the
 //     script-space cardinality with a warning above a configurable budget;
@@ -36,14 +36,6 @@
 #include "util/saturating.hpp"
 
 namespace ssvsp {
-
-/// Static admissibility of one failure script for (cfg, model), judged
-/// against a run of `horizon` rounds.  Emits every violated condition (it
-/// does not stop at the first), so a seeded-invalid artifact maps to its
-/// documented code.  A script that produces no error diagnostics is
-/// accepted by validateScript, and vice versa.
-void lintFailureScript(const FailureScript& script, const RoundConfig& cfg,
-                       RoundModel model, Round horizon, DiagnosticSink& sink);
 
 /// Sentinel for "too many scripts to count in 64 bits" — the saturation
 /// point of the shared counting arithmetic (util/saturating.hpp) the

@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <sstream>
 
 #include "analysis/abstract_interp.hpp"
+#include "rounds/spec.hpp"
 #include "util/check.hpp"
 
 namespace ssvsp::net {
@@ -74,10 +76,10 @@ std::string reportPath(const std::string& dir, ProcessId node) {
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f) {
   if (f < 0 || f > cfg.t) return kNoRound;
-  // byMaxCrashes[f] joins only cells with at most f crashes, so the cells
-  // beyond that budget cannot move it.
+  // latByF[f] joins only cells with at most f crashes, so the cells beyond
+  // that budget cannot move it.
   const AbstractBounds bounds = interpretAutomaton(entry, cfg, {}, f);
-  const Round latest = bounds.byMaxCrashes[static_cast<std::size_t>(f)].latest;
+  const Round latest = bounds.latByF[static_cast<std::size_t>(f)];
   return latest == 0 ? kNoRound : latest;
 }
 
@@ -239,42 +241,36 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
            o.reportError);
   }
 
-  // Consensus contract over the survivors' reports.
+  // The consensus contract over the survivors' reports is the simulator's
+  // (checkUniformConsensus): the survivors with a report are the run's
+  // correct processes and their decisions its decisions.  A crashed node
+  // reports nothing, so agreement is judged among the survivors.
+  RoundRunResult run;
+  run.cfg = spec.cfg;
+  run.initial = spec.values;
+  run.roundsExecuted = childSpec.maxRounds;
+  run.decision.assign(static_cast<std::size_t>(n), std::nullopt);
   const ProcessSet scriptedFaulty =
       spec.script.faultyWithin(childSpec.maxRounds + 1, n);
   for (const NodeOutcome& o : result.nodes) {
     if (o.scriptedCrash || !o.reportOk) continue;
     const NodeReport& r = o.report;
+    run.correct.insert(o.node);
+    if (r.decided) run.decision[static_cast<std::size_t>(o.node)] = r.decision;
+    // The wire-only checks: node timeouts, the analyzer's Lat(A, f) and,
+    // under P, accuracy.
     if (r.timedOut)
       fail("node " + std::to_string(o.node) + " timed out undecided");
-    if (!r.decided) {
-      fail("node " + std::to_string(o.node) +
-           " terminated without deciding (termination violated)");
-      continue;
-    }
-    // Validity: the decision is some process's initial value.
-    bool proposed = false;
-    for (Value v : spec.values) proposed = proposed || v == r.decision;
-    if (!proposed)
-      fail("node " + std::to_string(o.node) + " decided " +
-           std::to_string(r.decision) + ", which nobody proposed");
-    // Agreement.
-    if (result.agreedValue == kUndecided)
-      result.agreedValue = r.decision;
-    else if (result.agreedValue != r.decision)
-      fail("agreement violated: node " + std::to_string(o.node) +
-           " decided " + std::to_string(r.decision) + " against " +
-           std::to_string(result.agreedValue));
-    // Efficiency: within the analyzer's Lat(A, f).
-    if (r.decisionRound > result.worstDecisionRound)
-      result.worstDecisionRound = r.decisionRound;
+    if (!r.decided) continue;
+    result.worstDecisionRound =
+        std::max(result.worstDecisionRound, r.decisionRound);
     if (result.latBound != kNoRound && r.decisionRound > result.latBound)
       fail("node " + std::to_string(o.node) + " decided in round " +
            std::to_string(r.decisionRound) + " > Lat(A, f) = " +
            std::to_string(result.latBound) +
            " (emulation assumption broken; check the FD timeout)");
-    // FD accuracy: under P, suspecting a scripted-correct process is a
-    // mistimed timeout, the observable failure mode the knobs exist for.
+    // Suspecting a scripted-correct process is a mistimed timeout, the
+    // observable failure mode the knobs exist for.
     if (spec.heartbeat.mode == FdMode::kPerfect) {
       const ProcessSet suspected = ProcessSet::fromMask(r.suspectedFinal);
       const ProcessSet mistimed = suspected - scriptedFaulty;
@@ -283,6 +279,12 @@ LaunchResult launchCluster(const LaunchSpec& spec) {
              " suspected correct process(es) " + mistimed.toString() +
              " — mistimed P timeout (raise --timeout-ms)");
     }
+  }
+  const UcVerdict verdict = checkUniformConsensus(run);
+  if (!verdict.ok()) {
+    std::string witness = verdict.witness;
+    witness.erase(witness.find_last_not_of("; ") + 1);
+    fail("uniform consensus violated: " + witness);
   }
 
   result.ok = result.failures.empty();

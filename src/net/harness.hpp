@@ -15,12 +15,14 @@
 //     exit pipe the children hold hangs up (or the deadline passes), reaps
 //     every child, judges each scripted crash by its wait status alone,
 //     collects the reports, and checks the consensus contract — uniform
-//     agreement, validity, termination — plus the paper's efficiency bound:
-//     every observed decision round must be <= Lat(A, f) as computed by the
-//     static analyzer (src/analysis) for f = scripted crashes.  A run that
-//     decides later than the analyzer's worst case means the transport
-//     broke an emulation assumption (usually a mistimed suspicion), and the
-//     harness reports it as a hard failure, not a statistic.
+//     agreement, validity, termination — with the simulator's own
+//     checkUniformConsensus (rounds/spec.hpp), plus the wire-only checks:
+//     no node timed out, and every observed decision round is <= Lat(A, f)
+//     as computed by the static analyzer (src/analysis) for f = scripted
+//     crashes.  A run that decides later than the analyzer's worst case
+//     means the transport broke an emulation assumption (usually a
+//     mistimed suspicion), and the harness reports it as a hard failure,
+//     not a statistic.
 //
 // Under FdMode::kPerfect the verdict also rejects any suspicion of a
 // process the script keeps correct (accuracy violation made observable);
@@ -72,7 +74,6 @@ struct LaunchResult {
   int observedCrashes = 0;   ///< f: scripted crashes executed
   Round latBound = kNoRound; ///< analyzer's Lat(A, f) for this (A, cfg, f)
   Round worstDecisionRound = 0;
-  Value agreedValue = kUndecided;
 };
 
 /// Runs one cluster to completion and checks the verdict.  Fails soft (ok =
@@ -88,9 +89,9 @@ LaunchResult launchCluster(const LaunchSpec& spec);
 bool launchSpecFromScenario(const Scenario& scenario, LaunchSpec* out,
                             std::string* error);
 
-/// The analyzer's Lat(A, f) for this entry at `cfg` (byMaxCrashes[f].latest,
-/// interpreting only the cells with at most f crashes); kNoRound when f
-/// exceeds cfg.t or the analyzer reports non-termination.
+/// The analyzer's Lat(A, f) for this entry at `cfg` (AbstractBounds::latByF
+/// [f], interpreting only the cells with at most f crashes); kNoRound when
+/// f exceeds cfg.t or the analyzer reports non-termination.
 Round analyzerLatBound(const AlgorithmEntry& entry, const RoundConfig& cfg,
                        int f);
 

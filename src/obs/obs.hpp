@@ -15,7 +15,7 @@
 //
 // Metric names must be string literals (they key the registry and are
 // cached in a function-local static on first pass).  Span names must
-// outlive the trace session — literals, or internString() copies.
+// outlive the trace session: literals.
 #pragma once
 
 #include "obs/metrics.hpp"

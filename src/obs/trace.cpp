@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <mutex>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace ssvsp::obs {
 
@@ -26,8 +24,8 @@ std::int64_t steadyNowNs() {
 }
 
 /// Process-wide session state.  `enabled` is the only hot-path member; the
-/// rest is touched under `mu` on cold paths (thread registration, interned
-/// strings, start/stop).
+/// rest is touched under `mu` on cold paths (thread registration,
+/// start/stop).
 struct Session {
   std::atomic<bool> enabled{false};
   std::atomic<std::uint64_t> generation{1};  ///< bumped by every start/stop
@@ -36,7 +34,6 @@ struct Session {
   std::mutex mu;
   std::size_t ringCapacity = kDefaultRingCapacity;
   std::vector<std::unique_ptr<SpanRing>> rings;  ///< one per recording thread
-  std::deque<std::string> internedStrings;       ///< stable addresses
 };
 
 Session& session() {
@@ -79,23 +76,6 @@ SpanRing* currentRing() {
   return ts.ring;
 }
 
-/// LogSink installed while tracing: mirrors every emitted log line into the
-/// trace as an instant on the logging thread's track.  Interned names live
-/// until the next startTracing, past the snapshot's export.
-void logMirrorSink(LogLevel level, double /*elapsedSec*/,
-                   const std::string& message) {
-  if (!tracingEnabled()) return;
-  const char* tag = "log";
-  switch (level) {
-    case LogLevel::kDebug: tag = "log[debug]"; break;
-    case LogLevel::kInfo: tag = "log[info]"; break;
-    case LogLevel::kWarn: tag = "log[warn]"; break;
-    case LogLevel::kError: tag = "log[error]"; break;
-    case LogLevel::kOff: break;
-  }
-  traceInstant(internString(std::string(tag) + ": " + message));
-}
-
 }  // namespace
 
 SpanRing::SpanRing(std::size_t capacity)
@@ -134,11 +114,9 @@ void startTracing(std::size_t ringCapacityPerThread) {
   if (s.enabled.load(std::memory_order_relaxed)) return;
   s.ringCapacity = std::max<std::size_t>(ringCapacityPerThread, 2);
   s.rings.clear();
-  s.internedStrings.clear();
   s.epochNs.store(steadyNowNs(), std::memory_order_relaxed);
   s.generation.fetch_add(1, std::memory_order_release);
   s.enabled.store(true, std::memory_order_release);
-  setLogSink(&logMirrorSink);
 }
 
 TraceSnapshot stopTracing() {
@@ -146,7 +124,6 @@ TraceSnapshot stopTracing() {
   std::lock_guard<std::mutex> lock(s.mu);
   TraceSnapshot snapshot;
   if (!s.enabled.load(std::memory_order_relaxed)) return snapshot;
-  setLogSink(nullptr);
   s.enabled.store(false, std::memory_order_release);
   s.generation.fetch_add(1, std::memory_order_release);
 
@@ -192,13 +169,6 @@ void traceInstant(const char* name) {
   ev.tid = ring->tid;
   ev.depth = threadState().depth;
   ring->push(ev);
-}
-
-const char* internString(const std::string& text) {
-  Session& s = session();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.internedStrings.push_back(text);
-  return s.internedStrings.back().c_str();
 }
 
 ScopedSpan::ScopedSpan(const char* name) : name_(nullptr) {

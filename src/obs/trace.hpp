@@ -30,8 +30,7 @@ namespace ssvsp::obs {
 
 /// One completed span (or instant) as stored in the rings.  Trivially
 /// copyable on purpose: ring slots are reused without destruction.  `name`
-/// must outlive the session — a string literal at macro call sites, or an
-/// arena copy for dynamic names (internString).
+/// must outlive the session: a string literal at macro call sites.
 struct SpanEvent {
   const char* name = nullptr;
   std::int64_t startNs = 0;  ///< steady clock, relative to the session epoch
@@ -113,11 +112,6 @@ void setCurrentThreadName(const std::string& name);
 
 /// Records an instant event on the calling thread (no-op unless tracing).
 void traceInstant(const char* name);
-
-/// Copies `text` into session-lifetime storage and returns a stable
-/// pointer, for instant events whose name is not a literal (log lines).
-/// Cold path: takes a lock.
-const char* internString(const std::string& text);
 
 /// RAII span: captures the start time at construction, pushes one complete
 /// event at destruction.  Nesting depth is tracked per thread.  When

@@ -345,12 +345,8 @@ AbstractionResult abstractInterpret(const AlgorithmEntry& entry, int n,
     classes = fold.classes();
   }
 
+  static_cast<LatencyDegrees&>(result.row) = bounds;
   result.row.n = n;
-  result.row.lat = bounds.lat;
-  result.row.latMax = bounds.latMax;
-  result.row.lambda = bounds.lambda;
-  for (const PerBudgetBounds& b : bounds.byMaxCrashes)
-    result.row.latByF.push_back(b.latest);
   result.row.cells = bounds.cells;
   result.row.runs = bounds.runs;
   result.row.states = static_cast<std::int64_t>(result.states.size());

@@ -44,24 +44,17 @@ namespace ssvsp {
 namespace param {
 
 /// Derived quantities at one system size — one base-case row of a
-/// certificate's window.
-struct ParamWindowRow {
+/// certificate's window: the latency degrees at this n, plus the size of
+/// the interpreted and abstracted spaces.
+struct ParamWindowRow : LatencyDegrees {
   int n = 0;
-  Round lat = kNoRound;     ///< lat(A) at this n
-  Round latMax = 0;         ///< Lat(A)
-  Round lambda = kNoRound;  ///< Lambda(A) = Lat(A, 0)
-  std::vector<Round> latByF;  ///< Lat(A, f), f = 0 .. t
   std::int64_t cells = 0;     ///< schedule cells interpreted
   std::int64_t runs = 0;      ///< cells x canonical configs
   std::int64_t states = 0;    ///< |abstract reach set|
   std::int64_t edges = 0;     ///< |abstract transition relation|
 
-  friend bool operator==(const ParamWindowRow& a, const ParamWindowRow& b) {
-    return a.n == b.n && a.lat == b.lat && a.latMax == b.latMax &&
-           a.lambda == b.lambda && a.latByF == b.latByF &&
-           a.cells == b.cells && a.runs == b.runs && a.states == b.states &&
-           a.edges == b.edges;
-  }
+  friend bool operator==(const ParamWindowRow&,
+                         const ParamWindowRow&) = default;
 };
 
 /// The structured facts the certifier's entailment checks consume, per

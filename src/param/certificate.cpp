@@ -71,25 +71,6 @@ bool fingerprintFromHex(const std::string& hex, std::uint64_t* out) {
 
 }  // namespace
 
-bool operator==(const ParamCertificate& a, const ParamCertificate& b) {
-  const auto boundsEq = [](const std::optional<DeclaredLatencyBounds>& x,
-                           const std::optional<DeclaredLatencyBounds>& y) {
-    if (x.has_value() != y.has_value()) return false;
-    if (!x) return true;
-    return x->lat == y->lat && x->latMax == y->latMax &&
-           x->lambda == y->lambda && x->latByF == y->latByF;
-  };
-  return a.algorithm == b.algorithm && a.model == b.model && a.t == b.t &&
-         a.cutoff == b.cutoff && a.countSaturation == b.countSaturation &&
-         a.declared == b.declared && a.boundsForAllN == b.boundsForAllN &&
-         boundsEq(a.bounds, b.bounds) &&
-         a.lambdaLowerBound == b.lambdaLowerBound && a.window == b.window &&
-         a.invariant == b.invariant && a.transitions == b.transitions &&
-         a.lambdaWitnessOnes == b.lambdaWitnessOnes &&
-         a.lambdaWitnessLatency == b.lambdaWitnessLatency &&
-         a.fingerprint == b.fingerprint;
-}
-
 std::string certificateToJson(const ParamCertificate& cert, int indent) {
   std::ostringstream os;
   JsonWriter w(os, indent);

@@ -64,7 +64,8 @@ struct ParamCertificate {
   /// FNV-1a 64 over the compact JSON rendering with this field zeroed.
   std::uint64_t fingerprint = 0;
 
-  friend bool operator==(const ParamCertificate& a, const ParamCertificate& b);
+  friend bool operator==(const ParamCertificate&,
+                         const ParamCertificate&) = default;
 };
 
 /// Canonical JSON rendering; indent = 0 compact (the fingerprint domain),

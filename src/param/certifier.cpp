@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/analysis.hpp"
 #include "lint/codes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -12,32 +13,6 @@ namespace ssvsp {
 namespace param {
 
 namespace {
-
-/// The closed-form row the declared bounds predict at (n-independent)
-/// resilience t — the same evaluation the analysis layer diffs as L400.
-void checkRowAgainstBounds(const AlgorithmEntry& entry,
-                           const DeclaredLatencyBounds& bounds, int t,
-                           const ParamWindowRow& row, DiagnosticSink& sink) {
-  const auto mismatch = [&](const char* what, Round derived, Round want) {
-    if (derived == want) return;
-    std::ostringstream os;
-    os << entry.name << ": derived " << what << " = " << derived
-       << " at n = " << row.n << " diverges from the declared closed form "
-       << want;
-    sink.report(std::string(kDiagBoundMismatch), Severity::kError, os.str(),
-                "the Section 5 bounds are n-independent: fix the declaration "
-                "or the automaton");
-  };
-  mismatch("lat", row.lat, bounds.lat.eval(t, t));
-  mismatch("Lat", row.latMax, bounds.latMax.eval(t, t));
-  mismatch("Lambda", row.lambda, bounds.lambda.eval(0, t));
-  for (std::size_t f = 0; f < row.latByF.size(); ++f) {
-    std::ostringstream what;
-    what << "Lat(A, " << f << ")";
-    mismatch(what.str().c_str(), row.latByF[f],
-             bounds.latByF.eval(static_cast<int>(f), t));
-  }
-}
 
 /// Induction: growing the system past the cutoff must add no abstract
 /// state and no abstract transition.
@@ -54,7 +29,7 @@ void checkInduction(const AlgorithmEntry& entry, int cutoff,
     os << entry.name << ": reach set not closed at cutoff n0 = " << cutoff
        << ": n0 + 1 reaches " << newStates.size()
        << " new abstract state(s), first: " << newStates.front();
-    sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+    sink.report(kDiagParamNotInductive, Severity::kError,
                 os.str(), "raise the cutoff until the reach set closes");
   }
   std::vector<std::pair<std::string, std::string>> newEdges;
@@ -67,7 +42,7 @@ void checkInduction(const AlgorithmEntry& entry, int cutoff,
        << cutoff << ": n0 + 1 adds " << newEdges.size()
        << " new abstract edge(s), first: " << newEdges.front().first
        << "  ->  " << newEdges.front().second;
-    sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+    sink.report(kDiagParamNotInductive, Severity::kError,
                 os.str(), "raise the cutoff until the reach set closes");
   }
 }
@@ -87,7 +62,7 @@ void checkEntailment(const AlgorithmEntry& entry, const ParamCertificate& cert,
         os << entry.name << ": abstract state at boundary r = " << info.r
            << " >= Lat(A, " << info.f << ") = " << bound
            << " still holds an undecided correct class: " << state;
-        sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+        sink.report(kDiagParamNotInductive, Severity::kError,
                     os.str(),
                     "the claimed upper bound is not entailed by the reach "
                     "set");
@@ -109,7 +84,7 @@ void checkEntailment(const AlgorithmEntry& entry, const ParamCertificate& cert,
       os << entry.name << ": no failure-free abstract state at boundary "
          << (lower - 1) << " with an undecided correct class: the Lambda >= "
          << lower << " lower bound has no witness";
-      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+      sink.report(kDiagParamNotInductive, Severity::kError,
                   os.str(),
                   "the algorithm decides earlier than the claimed lower "
                   "bound allows");
@@ -119,7 +94,7 @@ void checkEntailment(const AlgorithmEntry& entry, const ParamCertificate& cert,
       std::ostringstream os;
       os << entry.name << ": derived Lambda = " << row.lambda << " at n = "
          << row.n << " is below the claimed lower bound " << lower;
-      sink.report(std::string(kDiagParamNotInductive), Severity::kError,
+      sink.report(kDiagParamNotInductive, Severity::kError,
                   os.str(), "the claimed lower bound is false");
     }
   }
@@ -132,14 +107,14 @@ void lintParamClaim(const AlgorithmEntry& entry, DiagnosticSink& sink) {
   const int t = canonicalAnalysisConfig(entry).t;
 
   if (!claim.declared) {
-    sink.report(std::string(kDiagParamClaimMissing), Severity::kWarning,
+    sink.report(kDiagParamClaimMissing, Severity::kWarning,
                 entry.name + ": no parametric claim declared",
                 "declare paramClaimBounds(n0) in the registry so the bounds "
                 "are certified for all n >= n0, not just the swept sizes");
     return;
   }
   if (claim.boundsForAllN && !entry.declaredBounds.has_value()) {
-    sink.report(std::string(kDiagParamClaimNoBounds), Severity::kError,
+    sink.report(kDiagParamClaimNoBounds, Severity::kError,
                 entry.name +
                     ": parametric claim asserts the declared bounds for all "
                     "n, but the entry declares no bounds",
@@ -149,7 +124,7 @@ void lintParamClaim(const AlgorithmEntry& entry, DiagnosticSink& sink) {
     std::ostringstream os;
     os << entry.name << ": parametric cutoff n0 = " << claim.cutoff
        << " is below t + 2 = " << (t + 2);
-    sink.report(std::string(kDiagParamCutoffBelowQuorum), Severity::kError,
+    sink.report(kDiagParamCutoffBelowQuorum, Severity::kError,
                 os.str(),
                 "below n = t + 2 the closed forms of Section 5 collapse "
                 "into each other; raise the cutoff");
@@ -162,7 +137,7 @@ void lintParamClaim(const AlgorithmEntry& entry, DiagnosticSink& sink) {
          << " contradicts the declared Lambda = "
          << entry.declaredBounds->lambda.toString() << " = " << declaredLambda
          << " at t = " << t;
-      sink.report(std::string(kDiagParamLambdaContradiction), Severity::kError,
+      sink.report(kDiagParamLambdaContradiction, Severity::kError,
                   os.str(), "one of the two declarations is wrong");
     }
   }
@@ -214,10 +189,19 @@ ParamCertificate certifyAlgorithm(const AlgorithmEntry& entry,
   cert.lambdaWitnessLatency = atCutoff.lambdaWitnessLatency;
 
   if (claim.declared) {
-    // Base cases: every window row must match the declared closed forms.
-    if (cert.boundsForAllN && entry.declaredBounds.has_value())
+    // Base cases: every window row must match the declared closed forms,
+    // which are n-independent: the same degrees at every n.
+    if (cert.boundsForAllN && entry.declaredBounds.has_value()) {
+      const LatencyDegrees declared = entry.declaredBounds->eval(t);
       for (const ParamWindowRow& row : cert.window)
-        checkRowAgainstBounds(entry, *entry.declaredBounds, t, row, sink);
+        checkLatencyDegrees(
+            row, declared,
+            {kDiagBoundMismatch, entry.name + ": derived",
+             "the declared closed form", " at n = " + std::to_string(row.n),
+             "the Section 5 bounds are n-independent: fix the declaration "
+             "or the automaton"},
+            sink);
+    }
 
     checkInduction(entry, cutoff, atCutoff, atNext, sink);
     checkEntailment(entry, cert, atCutoff, sink);
@@ -231,7 +215,7 @@ bool checkCertificate(const ParamCertificate& stored,
                       const AlgorithmEntry& entry, DiagnosticSink& sink) {
   bool ok = true;
   if (certificateFingerprint(stored) != stored.fingerprint) {
-    sink.report(std::string(kDiagCertRecheckMismatch), Severity::kError,
+    sink.report(kDiagCertRecheckMismatch, Severity::kError,
                 entry.name +
                     ": stored certificate fingerprint does not match its "
                     "content (corrupt or hand-edited golden)",
@@ -241,7 +225,7 @@ bool checkCertificate(const ParamCertificate& stored,
   DiagnosticSink scratch;  // regeneration findings are not re-reported here
   const ParamCertificate fresh = certifyAlgorithm(entry, scratch);
   if (!(fresh == stored)) {
-    sink.report(std::string(kDiagCertRecheckMismatch), Severity::kError,
+    sink.report(kDiagCertRecheckMismatch, Severity::kError,
                 entry.name +
                     ": stored certificate differs from a fresh regeneration "
                     "(stale golden, or the abstraction/registry changed)",
@@ -282,18 +266,6 @@ ParamSweepCell paramSweepCell(const AlgorithmEntry& entry, int n) {
 void crossCheckCertificate(const ParamCertificate& cert,
                            const AlgorithmEntry& entry, DiagnosticSink& sink,
                            const CrossCheckOptions& options) {
-  const auto diverge = [&](int n, int t, const std::string& what,
-                           Round measured, Round want) {
-    std::ostringstream os;
-    os << entry.name << ": measured " << what << " = " << measured
-       << " at (n = " << n << ", t = " << t
-       << ") diverges from the certified claim " << want;
-    sink.report(std::string(kDiagCertSweepDivergence), Severity::kError,
-                os.str(),
-                "the certificate and the exhaustive sweep disagree: one of "
-                "abstraction, engine or declaration is wrong");
-  };
-
   for (int n = cert.t + 2; n <= std::min(cert.cutoff + 1, options.maxN);
        ++n) {
     const ParamSweepCell cell = paramSweepCell(entry, n);
@@ -301,38 +273,41 @@ void crossCheckCertificate(const ParamCertificate& cert,
     const LatencyProfile profile =
         measureLatency(entry.factory, cell.cfg, entry.intendedModel,
                        cell.options);
+    const std::string where =
+        " at (n = " + std::to_string(n) + ", t = " + std::to_string(t) + ")";
+    const DegreeCheck check{
+        kDiagCertSweepDivergence, entry.name + ": measured",
+        "the certified claim", where,
+        "the certificate and the exhaustive sweep disagree: one of "
+        "abstraction, engine or declaration is wrong"};
 
     if (cert.boundsForAllN && cert.bounds.has_value()) {
       // The declared closed forms are forms over (f, t): the sweep checks
       // them at its own resilience, independently of the abstraction.
-      const DeclaredLatencyBounds& b = *cert.bounds;
-      if (profile.lat != b.lat.eval(t, t))
-        diverge(n, t, "lat", profile.lat, b.lat.eval(t, t));
-      if (profile.latMax != b.latMax.eval(t, t))
-        diverge(n, t, "Lat", profile.latMax, b.latMax.eval(t, t));
-      if (profile.lambda != b.lambda.eval(0, t))
-        diverge(n, t, "Lambda", profile.lambda, b.lambda.eval(0, t));
-      for (const auto& [f, measured] : profile.latByMaxCrashes) {
-        std::ostringstream what;
-        what << "Lat(A, " << f << ")";
-        if (measured != b.latByF.eval(f, t))
-          diverge(n, t, what.str(), measured, b.latByF.eval(f, t));
-      }
+      checkLatencyDegrees(profile.degrees(t), cert.bounds->eval(t), check,
+                          sink);
     } else if (t == cert.t) {
       // Observation-only certificate: the sweep must still reproduce the
       // window's Lambda (exact in both readings — the failure-free space
       // has no pendings, no crashes and no truncation).
-      for (const ParamWindowRow& row : cert.window)
-        if (row.n == n && profile.lambda != row.lambda)
-          diverge(n, t, "Lambda", profile.lambda, row.lambda);
+      for (const ParamWindowRow& row : cert.window) {
+        if (row.n != n) continue;
+        LatencyDegrees measured, certified;
+        measured.lambda = profile.lambda;
+        certified.lambda = row.lambda;
+        checkLatencyDegrees(measured, certified, check, sink);
+      }
     }
 
     if (cert.lambdaLowerBound.has_value() &&
         (profile.lambda == kNoRound ||
          profile.lambda < *cert.lambdaLowerBound)) {
-      std::ostringstream what;
-      what << "Lambda (claimed >= " << *cert.lambdaLowerBound << ")";
-      diverge(n, t, what.str(), profile.lambda, *cert.lambdaLowerBound);
+      sink.report(kDiagCertSweepDivergence, Severity::kError,
+                  check.subject + " Lambda(A) = " +
+                      std::to_string(profile.lambda) +
+                      " is below the claimed lower bound " +
+                      std::to_string(*cert.lambdaLowerBound) + where,
+                  check.hint);
     }
   }
 }

@@ -319,12 +319,16 @@ void RoundEngine::finish(const FailureScript& script) {
   resultValid_ = true;
 }
 
-void RoundEngine::execute(const std::vector<Value>& initial,
-                          const FailureScript& script) {
-  SSVSP_CHECK(static_cast<int>(initial.size()) == cfg_.n);
+void RoundEngine::requireAdmissible(const FailureScript& script) const {
   const ScriptValidity validity = validateScript(script, cfg_, model_);
   SSVSP_CHECK_MSG(validity.ok, "illegal script: " << validity.reason << " "
                                                   << script.toString());
+}
+
+void RoundEngine::execute(const std::vector<Value>& initial,
+                          const FailureScript& script) {
+  SSVSP_CHECK(static_cast<int>(initial.size()) == cfg_.n);
+  requireAdmissible(script);
 
   if (podStride_ > 0 && resultValid_ && initial == result_.initial) {
     const Round d = divergenceRound(result_.script, script);
@@ -344,14 +348,7 @@ void RoundEngine::execute(const std::vector<Value>& initial,
     const Round q = std::min<Round>(reusable,
                                     static_cast<Round>(chain_.size()));
     if (q >= 1) {
-      OBS_COUNTER_INC("engine.resumes");
-      OBS_HISTOGRAM("engine.resume_depth", q);
-      restore(*chain_[static_cast<std::size_t>(q) - 1]);
-      trimChain(static_cast<std::size_t>(q));
-      stats_.roundsResumed += q;
-      runFrom(q + 1, script);
-      finish(script);
-      ++stats_.runsExecuted;
+      resumeAt(*chain_[static_cast<std::size_t>(q) - 1], script);
       return;
     }
   }
@@ -379,9 +376,12 @@ void RoundEngine::resumeFrom(const RoundCheckpoint& cp,
                              const FailureScript& script) {
   SSVSP_CHECK(resultValid_);
   SSVSP_CHECK(cp.round >= 1);
-  const ScriptValidity validity = validateScript(script, cfg_, model_);
-  SSVSP_CHECK_MSG(validity.ok, "illegal script: " << validity.reason << " "
-                                                  << script.toString());
+  requireAdmissible(script);
+  resumeAt(cp, script);
+}
+
+void RoundEngine::resumeAt(const RoundCheckpoint& cp,
+                           const FailureScript& script) {
   OBS_COUNTER_INC("engine.resumes");
   OBS_HISTOGRAM("engine.resume_depth", cp.round);
   restore(cp);

@@ -173,8 +173,9 @@ class RoundEngine {
   /// Re-runs from `cp`, which must belong to this engine's current chain
   /// (i.e. come from snapshotAt() after the last execute), under a script
   /// that agrees with the previous one on every event of rounds <=
-  /// cp.round.  execute() calls this automatically; it is public so tests
-  /// can exercise the checkpoint contract directly.
+  /// cp.round.  execute() resumes through the same private routine; this
+  /// entry point is public so tests can exercise the checkpoint contract
+  /// directly.
   void resumeFrom(const RoundCheckpoint& cp, const FailureScript& script);
 
   /// The last run's outcome.  `automata` is left empty (the engine keeps
@@ -203,8 +204,13 @@ class RoundEngine {
                                   const FailureScript&,
                                   const RoundEngineOptions&);
 
+  /// Throws InvariantViolation unless validateScript admits `script`.
+  void requireAdmissible(const FailureScript& script) const;
   void beginFresh(const std::vector<Value>& initial);
   void restore(const RoundCheckpoint& cp);
+  /// The one resume path: restore `cp`, park the chain past it, run the
+  /// remaining rounds, finish and count.  `script` is already admitted.
+  void resumeAt(const RoundCheckpoint& cp, const FailureScript& script);
   void runFrom(Round firstRound, const FailureScript& script);
   void finish(const FailureScript& script);
   std::unique_ptr<RoundCheckpoint> snapshot();

@@ -9,10 +9,11 @@
 //
 // The RWS constraint is the paper's weak round synchrony property: if the
 // receiver is alive at the end of round r and does not receive the round-r
-// message of p_j, then p_j crashes by the end of round r+1.  validate()
-// rejects any script that would break it, as well as scripts marking
-// never-sent messages as pending, so engines only ever execute runs that
-// belong to the model.
+// message of p_j, then p_j crashes by the end of round r+1.
+// lintFailureScript is the one implementation of the model's admissibility
+// rules (lint codes L100-L112); validateScript, the engine's gate, returns
+// its first error, so engines only ever execute runs that belong to the
+// model and every other caller judges scripts by the same rules.
 #pragma once
 
 #include <string>
@@ -23,6 +24,8 @@
 #include "util/types.hpp"
 
 namespace ssvsp {
+
+class DiagnosticSink;
 
 enum class RoundModel {
   kRs,   ///< synchronous rounds (round synchrony property)
@@ -79,15 +82,32 @@ struct ScriptValidity {
   std::string reason;
 };
 
-/// Checks that the script is a legal adversary for the given model:
-///   * at most cfg.t crashes, each process at most once, rounds >= 1;
-///   * sendTo within Pi;
-///   * RS: no pendings;
-///   * RWS: each pending names a message that is actually sent (the sender
-///     is alive at the start of that round and, in its crash round, includes
-///     dst in sendTo), arrival strictly later than the send round, and weak
-///     round synchrony holds: if dst survives past round r, src crashes by
-///     round r+1.
+/// True when 1 <= n <= kMaxProcs and 0 <= t < n.
+bool configInRange(const RoundConfig& cfg);
+
+/// L200: reports one error and returns false when !configInRange(cfg).
+bool lintRoundConfig(const RoundConfig& cfg, DiagnosticSink& sink);
+
+/// Admissibility of one failure script for (cfg, model), judged against a
+/// run of `horizon` rounds (< 1: no horizon, so no horizon warnings).
+/// Emits every violated condition (it does not stop at the first), one
+/// stable code each:
+///   * at most cfg.t crashes (L104), each of a process in Pi (L100), at
+///     most once (L101), in a round >= 1 (L102), with sendTo within Pi
+///     (L103);
+///   * RS: no pendings (L105);
+///   * RWS: each pending names processes in Pi (L106) and a send round
+///     >= 1 (L107), arrives strictly after it (L108), names a message that
+///     is actually sent — the sender is alive at the start of that round
+///     (L109) and, in its crash round, includes dst in sendTo (L110) —,
+///     keeps weak round synchrony: if dst survives round r, src crashes by
+///     round r+1 (L111), and is listed once (L112);
+/// plus the horizon warnings L113/L114 (an arrival or a crash past the
+/// simulated prefix).  Allocates nothing on an admissible script.
+void lintFailureScript(const FailureScript& script, const RoundConfig& cfg,
+                       RoundModel model, Round horizon, DiagnosticSink& sink);
+
+/// The engine's gate: lintFailureScript's first error as `reason`, or ok.
 ScriptValidity validateScript(const FailureScript& script,
                               const RoundConfig& cfg, RoundModel model);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace ssvsp {
 

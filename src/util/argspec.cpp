@@ -1,8 +1,10 @@
 #include "util/argspec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace ssvsp {
@@ -104,6 +106,12 @@ bool ArgSpec::applyValue(const Flag& flag, std::string_view value,
                  std::string(value) + "'";
         return false;
       }
+      if (v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        *error = "--" + flag.name + ": " + std::string(value) +
+                 " is out of range";
+        return false;
+      }
       *static_cast<int*>(flag.out) = static_cast<int>(v);
       return true;
     }
@@ -178,6 +186,7 @@ bool ArgSpec::tryParse(int* argc, char** argv, std::string* error) {
         *error = "unknown flag '" + std::string(arg) + "'";
         return false;
       }
+      seen_.push_back(flag->name);
       if (flag->kind == Kind::kBool) {
         if (eq != std::string_view::npos) {
           *error = "--" + flag->name + " is a switch and takes no value";
@@ -224,6 +233,10 @@ bool ArgSpec::tryParse(int* argc, char** argv, std::string* error) {
       rest_->emplace_back(positionals[pi]);
   }
   return true;
+}
+
+bool ArgSpec::seen(std::string_view name) const {
+  return std::find(seen_.begin(), seen_.end(), name) != seen_.end();
 }
 
 void ArgSpec::parse(int* argc, char** argv) {

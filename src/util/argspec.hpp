@@ -79,6 +79,10 @@ class ArgSpec {
 
   bool helpSeen() const { return helpSeen_; }
 
+  /// True when the parse met `--name` in either spelling, which tells a
+  /// flag given at its default value apart from one not given at all.
+  bool seen(std::string_view name) const;
+
   /// The generated usage/flag-table text.
   std::string help() const;
 
@@ -117,6 +121,7 @@ class ArgSpec {
   std::string restHelp_;
   std::vector<std::string> passthrough_;
   std::vector<std::function<bool(std::string_view)>> consumers_;
+  std::vector<std::string> seen_;  ///< names of the flags parsed
   bool helpSeen_ = false;
 };
 

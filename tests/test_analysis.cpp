@@ -60,9 +60,9 @@ TEST(Analysis, DerivedBoundsMatchTheGoldenTableExactly) {
     EXPECT_EQ(r.derived.lat, row.lat);
     EXPECT_EQ(r.derived.latMax, row.latMax);
     EXPECT_EQ(r.derived.lambda, row.lambda);
-    ASSERT_EQ(r.derived.byMaxCrashes.size(), row.latByF.size());
+    ASSERT_EQ(r.derived.latByF.size(), row.latByF.size());
     for (std::size_t f = 0; f < row.latByF.size(); ++f)
-      EXPECT_EQ(r.derived.byMaxCrashes[f].latest, row.latByF[f])
+      EXPECT_EQ(r.derived.latByF[f], row.latByF[f])
           << "Lat(A, " << f << ")";
     ++checked;
   }
@@ -95,9 +95,9 @@ TEST(Analysis, A1WSCandidateHasANonTerminatingRunUnderRws) {
   // synchrony.  The abstract sweep finds the witness (a run where p3 misses
   // x1 and halt-filters everyone else), so Lat at f = 1 is unbounded.
   const AnalysisReport& r = reportFor("A1WS_candidate");
-  ASSERT_EQ(r.derived.byMaxCrashes.size(), 2u);
-  EXPECT_EQ(r.derived.byMaxCrashes[0].latest, 1);
-  EXPECT_EQ(r.derived.byMaxCrashes[1].latest, kNoRound);
+  ASSERT_EQ(r.derived.latByF.size(), 2u);
+  EXPECT_EQ(r.derived.latByF[0], 1);
+  EXPECT_EQ(r.derived.latByF[1], kNoRound);
   EXPECT_FALSE(r.closedForm.has_value());
   EXPECT_FALSE(r.declared.has_value());  // claims nothing, so no L400
 }
@@ -253,8 +253,7 @@ TEST(Analysis, CrashBudgetInterpretsAPrefixAndKeepsTheBound) {
         EXPECT_EQ(budgeted[i].toString(), all[i].toString()) << "cell " << i;
         EXPECT_LE(budgeted[i].numCrashes(), f) << budgeted[i].toString();
       }
-      const Round latest =
-          full.byMaxCrashes[static_cast<std::size_t>(f)].latest;
+      const Round latest = full.latByF[static_cast<std::size_t>(f)];
       EXPECT_EQ(net::analyzerLatBound(entry, cfg, f),
                 latest == 0 ? kNoRound : latest);
     }

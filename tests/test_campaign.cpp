@@ -666,6 +666,61 @@ TEST_F(CampaignTest, UnrunnableSpecIsRefusedBeforeAnyManifestOrFork) {
   refused(spec, "unknown algorithm 'NoSuchAlgo'");
 }
 
+/// A directory squatting on the manifest path is named as such, not read as
+/// an empty document.
+TEST_F(CampaignTest, ManifestLoadRefusesADirectory) {
+  const std::string path = dir_ + "/manifest.json";
+  ASSERT_EQ(::mkdir(path.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((path + "/x").c_str(), 0755), 0);
+  std::string error;
+  EXPECT_FALSE(CampaignManifest::load(path, &error).has_value());
+  const std::string expected = "manifest '" + path + "': not a regular file";
+  EXPECT_EQ(error, expected);
+
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 1;
+  const CampaignResult result = runCampaign(spec, options);
+  ::rmdir((path + "/x").c_str());
+  ::rmdir(path.c_str());
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, expected);
+}
+
+/// A failed manifest save (here its rename onto a non-empty directory)
+/// leaves no temporary file behind.
+TEST_F(CampaignTest, FailedManifestSaveLeavesNoTempFile) {
+  CampaignSpec spec;
+  spec.algorithm = "FloodSet";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 0;
+  ASSERT_TRUE(runCampaign(spec, options).ok);
+  std::string error;
+  const auto manifest = campaignStatus(dir_, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+
+  const std::string blocked = dir_ + "/blocked";
+  ASSERT_EQ(::mkdir(blocked.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((blocked + "/x").c_str(), 0755), 0);
+  const bool saved = manifest->save(blocked, &error);
+  const std::int64_t leftover = fileSize(blocked + ".tmp");
+  std::remove((blocked + ".tmp").c_str());
+  ::rmdir((blocked + "/x").c_str());
+  ::rmdir(blocked.c_str());
+  EXPECT_FALSE(saved);
+  EXPECT_NE(error.find("rename"), std::string::npos) << error;
+  EXPECT_EQ(leftover, -1);
+}
+
 /// A worker that exits non-zero reported a failure a rerun would repeat —
 /// here, a directory squatting on its result path makes every publish
 /// fail.  The campaign ends with that failure instead of requeueing the

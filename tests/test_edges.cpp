@@ -1,5 +1,5 @@
 // Edge-case coverage across modules: engine option boundaries, trace
-// utilities, logging levels, emulation bounds, and checker robustness on
+// utilities, emulation bounds, argv parsing, and checker robustness on
 // degenerate systems (n = 1 groups, t = 0, empty scripts).
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "rounds/engine.hpp"
 #include "rounds/spec.hpp"
 #include "runtime/executor.hpp"
-#include "util/logging.hpp"
+#include "util/argspec.hpp"
 
 namespace ssvsp {
 namespace {
@@ -153,19 +153,6 @@ TEST(TraceEdges, LocalViewNormalizesDeliveryOrder) {
   EXPECT_TRUE(indistinguishableTo(2, t1, t2));
 }
 
-TEST(LoggingEdges, LevelsFilter) {
-  const LogLevel old = logLevel();
-  setLogLevel(LogLevel::kError);
-  EXPECT_EQ(logLevel(), LogLevel::kError);
-  // These must be no-ops (nothing to assert beyond not crashing, but the
-  // macro's level check is the point).
-  SSVSP_DEBUG("invisible " << 1);
-  SSVSP_INFO("invisible " << 2);
-  setLogLevel(LogLevel::kOff);
-  SSVSP_ERROR("also invisible");
-  setLogLevel(old);
-}
-
 TEST(EmulationEdges, RoundEndFormulaEdgeValues) {
   EXPECT_EQ(rsEmulationRoundEnd(2, 1, 1, 0), 0);
   // Round 1 for n=2, phi=1, delta=1: max(n+1, (0+n+1)*1 + 1 + 1) = 5.
@@ -193,6 +180,39 @@ TEST(SpecEdges, LatencyOfEmptyCorrectSetIsZero) {
   run.faulty = ProcessSet::full(2);
   EXPECT_EQ(run.latency(), 0);
   EXPECT_TRUE(checkUniformConsensus(run).termination);  // vacuously
+}
+
+TEST(ArgSpecEdges, SeenTellsAGivenFlagFromItsDefault) {
+  int size = 4;
+  std::string spec = "unset";
+  std::int64_t budget = 7;
+  ArgSpec args("prog");
+  args.value("size", &size, "").value("spec", &spec, "").value("budget",
+                                                              &budget, "");
+  char a0[] = "prog", a1[] = "--size", a2[] = "4", a3[] = "--spec=";
+  char* argv[] = {a0, a1, a2, a3};
+  int argc = 4;
+  std::string error;
+  ASSERT_TRUE(args.tryParse(&argc, argv, &error)) << error;
+  EXPECT_TRUE(args.seen("size"));  // given at its default value
+  EXPECT_TRUE(args.seen("spec"));  // given empty
+  EXPECT_FALSE(args.seen("budget"));
+  EXPECT_EQ(size, 4);
+  EXPECT_EQ(spec, "");
+  EXPECT_EQ(budget, 7);
+}
+
+TEST(ArgSpecEdges, IntFlagRefusesAValueOutsideInt) {
+  int size = 4;
+  ArgSpec args("prog");
+  args.value("size", &size, "");
+  char a0[] = "prog", a1[] = "--size=4294967300";
+  char* argv[] = {a0, a1};
+  int argc = 2;
+  std::string error;
+  EXPECT_FALSE(args.tryParse(&argc, argv, &error));
+  EXPECT_EQ(error, "--size: 4294967300 is out of range");
+  EXPECT_EQ(size, 4);
 }
 
 }  // namespace

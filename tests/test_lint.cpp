@@ -162,6 +162,94 @@ TEST(LintScript, AgreesWithValidateScriptOnEnumeratedScripts) {
   EXPECT_GT(checked, 100);
 }
 
+/// The code of the first error in `sink`, or "" when it holds none.
+std::string firstErrorCode(const DiagnosticSink& sink) {
+  for (const Diagnostic& d : sink.diagnostics())
+    if (d.severity == Severity::kError) return d.code;
+  return "";
+}
+
+/// validateScript is lintFailureScript's first error: both reject the same
+/// scripts, and the engine's reason is the lint's first error message.
+void expectOneVerdict(const FailureScript& script, const RoundConfig& cfg,
+                      RoundModel model, const DiagnosticSink& sink,
+                      const std::string& code) {
+  const ScriptValidity validity = validateScript(script, cfg, model);
+  EXPECT_EQ(validity.ok, !sink.hasErrors()) << renderText(sink.diagnostics());
+  EXPECT_EQ(firstErrorCode(sink), code) << renderText(sink.diagnostics());
+  for (const Diagnostic& d : sink.diagnostics()) {
+    if (d.severity != Severity::kError) continue;
+    EXPECT_EQ(validity.reason, d.message);
+    break;
+  }
+}
+
+TEST(LintScript, AgreesWithValidateScriptOnInvalidScenarioArtifacts) {
+  // Every seeded L1xx error artifact, linted as ssvsp_lint lints it.
+  for (const char* file :
+       {"L101_duplicate_crash.txt", "L104_crash_bound.txt",
+        "L105_rs_with_pending.txt", "L109_crashed_sender_pends_later.txt",
+        "L110_pending_never_sent.txt", "L111_wrs_violation.txt",
+        "L112_duplicate_pending.txt"}) {
+    SCOPED_TRACE(file);
+    DiagnosticSink sink;
+    const ScenarioLintResult linted = lintScenarioText(
+        readFile(std::filesystem::path(SSVSP_LINT_DATA_DIR) / file), sink);
+    ASSERT_TRUE(linted.parsed);
+    const Scenario& sc = linted.scenario;
+    expectOneVerdict(sc.script, sc.cfg, sc.model, sink,
+                     std::string(file).substr(0, 4));
+  }
+}
+
+TEST(LintScript, AgreesWithValidateScriptOnScriptValidationCases) {
+  // The scripts of ScriptValidation.* (test_rounds.cpp), with the code of
+  // the first error each must get ("" for an admissible one).
+  const auto check = [](const FailureScript& s, const RoundConfig& cfg,
+                        RoundModel model, const std::string& code) {
+    SCOPED_TRACE(s.toString() + " n=" + std::to_string(cfg.n) +
+                 " t=" + std::to_string(cfg.t) + " " + toString(model));
+    DiagnosticSink sink;
+    lintFailureScript(s, cfg, model, /*horizon=*/0, sink);
+    expectOneVerdict(s, cfg, model, sink, code);
+  };
+  FailureScript twoCrashes;
+  twoCrashes.crashes = {{0, 1, {}}, {1, 1, {}}};
+  check(twoCrashes, cfgOf(3, 1), RoundModel::kRs, "L104");
+  check(twoCrashes, cfgOf(3, 2), RoundModel::kRs, "");
+
+  FailureScript doubleCrash;
+  doubleCrash.crashes = {{0, 1, {}}, {0, 2, {}}};
+  check(doubleCrash, cfgOf(3, 2), RoundModel::kRs, "L101");
+
+  FailureScript pendingInRs;
+  pendingInRs.crashes = {{0, 1, ProcessSet{1}}};
+  pendingInRs.pendings = {{0, 1, 1, 2}};
+  check(pendingInRs, cfgOf(3, 1), RoundModel::kRs, "L105");
+  check(pendingInRs, cfgOf(3, 1), RoundModel::kRws, "");
+
+  FailureScript unsent;
+  unsent.crashes = {{0, 1, ProcessSet{1}}};
+  unsent.pendings = {{0, 2, 1, 2}};
+  check(unsent, cfgOf(3, 1), RoundModel::kRws, "L110");
+
+  FailureScript silentCorrect;
+  silentCorrect.pendings = {{0, 1, 1, 2}};
+  check(silentCorrect, cfgOf(3, 1), RoundModel::kRws, "L111");
+  silentCorrect.crashes = {{0, 2, {}}};
+  check(silentCorrect, cfgOf(3, 1), RoundModel::kRws, "");
+
+  FailureScript dyingReceiver;
+  dyingReceiver.crashes = {{1, 1, {}}};
+  dyingReceiver.pendings = {{0, 1, 1, kNoRound}};
+  check(dyingReceiver, cfgOf(3, 1), RoundModel::kRws, "");
+
+  FailureScript arrivalNotLater;
+  arrivalNotLater.crashes = {{0, 1, ProcessSet{1}}};
+  arrivalNotLater.pendings = {{0, 1, 1, 1}};
+  check(arrivalNotLater, cfgOf(3, 1), RoundModel::kRws, "L108");
+}
+
 // --- explore-spec checks --------------------------------------------------
 
 TEST(LintSpec, CleanSpecProducesNoDiagnostics) {
