@@ -74,7 +74,8 @@ int cmdRun(int argc, char** argv) {
       .positional("t", &tText, "crash-resilience bound")
       .value("dir", &options.dir, "campaign directory (created if absent)")
       .value("workers", &options.workers,
-             "forked shard workers; 0 = in-process (default 2)")
+             "lanes, one long-lived forked worker each; 0 = in-process "
+             "(default 2)")
       .value("shard-scripts", &spec.shardScripts,
              "scripts per shard (default 2048)")
       .value("max-scripts", &spec.maxScripts,
@@ -118,7 +119,8 @@ int cmdResume(int argc, char** argv) {
                "Resume a campaign from its manifest (spec read from disk).");
   args.value("dir", &options.dir, "campaign directory")
       .value("workers", &options.workers,
-             "forked shard workers; 0 = in-process (default 2)")
+             "lanes, one long-lived forked worker each; 0 = in-process "
+             "(default 2)")
       .value("chaos-kill-shard", &options.chaosKillShard,
              "TEST HOOK: SIGKILL the worker of this shard index once");
   args.parse(&argc, argv);

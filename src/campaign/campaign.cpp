@@ -2,11 +2,13 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -126,49 +128,103 @@ std::optional<ShardResult> shardResultFromFile(const std::string& path,
   return result;
 }
 
-/// Shard worker body (forked child).  Runs the job, makes the memo batch
-/// durable, publishes the result file, and _exit()s — no destructors, no
-/// shared stdio flushing with the parent.  Every failure it can report
-/// (an exception such as the L500/L501 tripwire, a memo or result write
-/// error) is printed and ends the worker with a non-zero exit status.
-[[noreturn]] void shardWorker(const CampaignManifest& manifest,
-                              std::size_t index, MemoStore* store,
-                              const std::string& dir, bool chaosKill) try {
-  if (chaosKill) {
-    // Chaos hook: do HALF the slice's work (so the memo log gains a real,
-    // footerless partial segment), then die the hard way.  The
-    // orchestrator must survive, reassign the slice, and still produce the
-    // bit-identical merged report.
-    CampaignManifest half = manifest;
-    half.shards[index].range.numScripts =
-        manifest.shards[index].range.countWithin(manifest.totalScripts) / 2;
-    if (half.shards[index].range.numScripts > 0)
-      runShard(ShardJob{half, index}, store);
-    if (store != nullptr) store->flush(/*sync=*/true);
-    ::kill(::getpid(), SIGKILL);
-    ::_exit(127);  // unreachable
+// A lane's channel is a SOCK_SEQPACKET socketpair carrying one plan index
+// per message: the orchestrator orders a shard, the worker sends the index
+// back once the shard is durable.  MSG_NOSIGNAL: a dead peer costs EPIPE,
+// never a SIGPIPE.
+bool sendIndex(int fd, std::uint64_t index) {
+  while (::send(fd, &index, sizeof index, MSG_NOSIGNAL) !=
+         static_cast<ssize_t>(sizeof index))
+    if (errno != EINTR) return false;
+  return true;
+}
+
+/// 1: `*index` received; 0: end of file; -1: error.
+int receiveIndex(int fd, std::uint64_t* index) {
+  for (;;) {
+    const ssize_t n = ::recv(fd, index, sizeof *index, 0);
+    if (n == static_cast<ssize_t>(sizeof *index)) return 1;
+    if (n == 0) return 0;
+    if (n > 0 || errno != EINTR) return -1;
   }
-  ShardResult result = runShard(ShardJob{manifest, index}, store);
-  std::string error;
-  if (store != nullptr) {
-    if (!store->appendFooter(&error)) {
+}
+
+/// Lane worker body (forked child).  Runs every shard ordered on `channel`
+/// against `store`, which keeps the orbits loaded at open plus every orbit
+/// this worker has executed since; seals each shard's memo batch, publishes
+/// its result file and sends its index back.  End of file ends the lane.
+/// _exit()s — no destructors, no shared stdio flushing with the parent.
+/// Every failure it can report (an exception such as the L500/L501
+/// tripwire, a memo, result or channel error) is printed and ends the
+/// worker with a non-zero exit status.
+[[noreturn]] void laneWorker(const CampaignManifest& manifest,
+                             MemoStore& store, const std::string& dir,
+                             int channel, int chaosKillShard) try {
+  std::uint64_t index = 0;
+  int got = 0;
+  while ((got = receiveIndex(channel, &index)) == 1) {
+    if (static_cast<std::int64_t>(index) == chaosKillShard) {
+      // Chaos hook: do HALF the slice's work (so the memo log gains a real,
+      // footerless partial segment), then die the hard way.  The
+      // orchestrator must survive, hand the rest of the lane to a new
+      // worker, and still produce the bit-identical merged report.
+      CampaignManifest half = manifest;
+      half.shards[index].range.numScripts =
+          manifest.shards[index].range.countWithin(manifest.totalScripts) / 2;
+      if (half.shards[index].range.numScripts > 0)
+        runShard(ShardJob{half, index}, &store);
+      store.flush(/*sync=*/true);
+      ::kill(::getpid(), SIGKILL);
+      ::_exit(127);  // unreachable
+    }
+    const std::int64_t before = store.entriesAppended();
+    ShardResult result = runShard(ShardJob{manifest, index}, &store);
+    std::string error;
+    if (!store.appendFooter(&error)) {
       std::fprintf(stderr, "[campaign worker] %s\n", error.c_str());
       ::_exit(3);
     }
-    result.memoAppended = store->entriesAppended();
+    result.memoAppended = store.entriesAppended() - before;
+    const std::string path =
+        shardResultPath(dir, manifest.shards[index].range);
+    if (!writeFileAtomic(path, shardResultToJson(result), /*sync=*/false,
+                         &error)) {
+      std::fprintf(stderr, "[campaign worker] %s\n", error.c_str());
+      ::_exit(4);
+    }
+    if (!sendIndex(channel, index)) break;
   }
-  const std::string path =
-      shardResultPath(dir, manifest.shards[index].range);
-  if (!writeFileAtomic(path, shardResultToJson(result), /*sync=*/false,
-                       &error)) {
-    std::fprintf(stderr, "[campaign worker] %s\n", error.c_str());
-    ::_exit(4);
-  }
-  ::_exit(0);
+  if (got == 0) ::_exit(0);
+  std::fprintf(stderr, "[campaign worker] channel: %s\n",
+               std::strerror(errno));
+  ::_exit(6);
 } catch (const std::exception& e) {
   std::fprintf(stderr, "[campaign worker] %s\n", e.what());
   ::_exit(5);
 }
+
+/// One lane of a forked campaign: its shards and the worker running them.
+/// Destruction SIGKILLs and reaps a worker still live — the campaign ended
+/// early, on an orchestrator-side error or an exception, and the worker's
+/// shard stays pending in the ledger — so runCampaign never returns with a
+/// worker unreaped.
+struct Lane {
+  std::vector<std::size_t> shards;  ///< plan indices, in run order
+  std::size_t ordered = 0;  ///< shards[0, ordered) have been sent
+  bool busy = false;        ///< shards[ordered - 1] not yet reported
+  pid_t pid = -1;           ///< the lane's live worker; -1 = none
+  int fd = -1;              ///< the orchestrator's end of its channel
+
+  Lane() = default;
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+  ~Lane() {
+    if (fd >= 0) ::close(fd);
+    if (pid < 0) return;
+    ::kill(pid, SIGKILL);
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) continue;
+  }
+};
 
 }  // namespace
 
@@ -241,8 +297,7 @@ CampaignResult runCampaign(const CampaignSpec& spec,
   result.memoEntriesLoaded = store->openStats().entriesLoaded;
   result.memoBytesRepaired = store->openStats().bytesTruncated;
 
-  // Pending slices, largest remaining first (LPT): a straggler keeps its
-  // one slice while the rest of the plan drains through other workers.
+  // Pending slices in plan order.
   std::vector<std::size_t> queue;
   for (std::size_t i = 0; i < manifest.shards.size(); ++i) {
     if (manifest.shards[i].done)
@@ -250,13 +305,6 @@ CampaignResult runCampaign(const CampaignSpec& spec,
     else
       queue.push_back(i);
   }
-  std::stable_sort(queue.begin(), queue.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return manifest.shards[a].range.countWithin(
-                                manifest.totalScripts) >
-                            manifest.shards[b].range.countWithin(
-                                manifest.totalScripts);
-                   });
 
   auto recordDone = [&](std::size_t index, ShardResult&& shard) -> bool {
     manifest.shards[index].done = true;
@@ -279,100 +327,150 @@ CampaignResult runCampaign(const CampaignSpec& spec,
       }
     }
   } else {
-    // Each worker holds the write end of its own exit pipe, so the read end
-    // hangs up the moment that worker is gone.  The orchestrator then waits
-    // for exactly that pid: a child the caller forked keeps its status.
-    struct Running {
-      pid_t pid;
-      std::size_t index;
-      int exitFd;  ///< read end of the worker's exit pipe
-    };
-    std::vector<Running> running;
-    std::size_t next = 0;
+    // One long-lived worker per lane: lane w runs the queue's positions
+    // w, w + W, w + 2W, ... in order, against the memo its worker keeps
+    // across its shards.  The lanes are static: in this mode the
+    // orchestrator never writes its own memo, so what a lane executes and
+    // appends depends only on the plan and W, never on which worker
+    // finishes first.
+    const std::size_t laneCount =
+        std::min(static_cast<std::size_t>(options.workers), queue.size());
+    std::vector<Lane> lanes(laneCount);
+    for (std::size_t k = 0; k < queue.size(); ++k)
+      lanes[k % laneCount].shards.push_back(queue[k]);
     bool chaosArmed = options.chaosKillShard >= 0;
-    const auto fail = [&](const std::string& what) {
-      for (const Running& r : running) ::close(r.exitFd);
-      result.error = what;
-      return result;
-    };
 
-    auto dispatch = [&](std::size_t index) -> bool {
-      const bool chaos =
-          chaosArmed && static_cast<int>(index) == options.chaosKillShard;
-      if (chaos) chaosArmed = false;  // fire once, complete on reassignment
-      int exitPipe[2];
-      if (::pipe(exitPipe) != 0)
-        return setError(&error,
-                        std::string("campaign pipe: ") + std::strerror(errno));
+    // Forks the lane's worker.  Its channel's hang-up tells the
+    // orchestrator which worker is gone, and the orchestrator waits for
+    // exactly that pid, so a child the caller forked keeps its status.
+    const auto spawn = [&](Lane& lane) -> bool {
+      int channel[2];
+      if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, channel) != 0)
+        return setError(&error, std::string("campaign socketpair: ") +
+                                    std::strerror(errno));
+      const int chaos = chaosArmed ? options.chaosKillShard : -1;
       const pid_t pid = ::fork();
       if (pid < 0) {
-        ::close(exitPipe[0]);
-        ::close(exitPipe[1]);
+        ::close(channel[0]);
+        ::close(channel[1]);
         return setError(&error,
                         std::string("campaign fork: ") + std::strerror(errno));
       }
       if (pid == 0) {
-        ::close(exitPipe[0]);
-        shardWorker(manifest, index, store.get(), options.dir,
-                    chaos);  // never returns
+        // A worker holds only its own channel, so every worker reads end
+        // of file as soon as the orchestrator is gone.
+        for (const Lane& other : lanes)
+          if (other.fd >= 0) ::close(other.fd);
+        ::close(channel[0]);
+        laneWorker(manifest, *store, options.dir, channel[1],
+                   chaos);  // never returns
       }
-      ::close(exitPipe[1]);
+      ::close(channel[1]);
       ++result.workersForked;
-      running.push_back({pid, index, exitPipe[0]});
+      lane.pid = pid;
+      lane.fd = channel[0];
       return true;
     };
+    // Sends the lane's next shard.  A worker already gone costs EPIPE here,
+    // and the poll loop then sees its hang-up.
+    const auto order = [&](Lane& lane) -> bool {
+      const std::size_t index = lane.shards[lane.ordered++];
+      lane.busy = true;
+      if (static_cast<int>(index) == options.chaosKillShard)
+        chaosArmed = false;  // fire once, complete on the replacement
+      if (sendIndex(lane.fd, index) || errno == EPIPE || errno == ECONNRESET)
+        return true;
+      return setError(&error,
+                      std::string("campaign send: ") + std::strerror(errno));
+    };
+    // A lane ends with shutdown(SHUT_WR): its worker reads end of file
+    // once it has reported its current shard, and exits.  A worker failure
+    // a rerun would repeat ends every lane that way, so the other lanes
+    // stop after their current shard, which is still recorded.
+    const auto stopAll = [&](const std::string& what) {
+      result.error = what;
+      for (Lane& lane : lanes)
+        if (lane.pid >= 0) ::shutdown(lane.fd, SHUT_WR);
+    };
+    // An orchestrator-side failure: returning destroys `lanes`, which
+    // SIGKILLs and reaps every live worker.
+    const auto fail = [&](const std::string& what) {
+      result.error = what;
+      return result;
+    };
 
-    // A worker that exits non-zero reported a failure a rerun would repeat:
-    // the first such failure stops dispatch, and the campaign returns it
-    // once the running workers are reaped and recorded.
+    for (Lane& lane : lanes)
+      if (!spawn(lane) || !order(lane)) return fail(error);
     std::vector<pollfd> fds;
-    while ((result.error.empty() && next < queue.size()) || !running.empty()) {
-      while (result.error.empty() && next < queue.size() &&
-             running.size() < static_cast<std::size_t>(options.workers)) {
-        if (!dispatch(queue[next])) return fail(error);
-        ++next;
-      }
+    std::vector<Lane*> polled;
+    for (;;) {
       fds.clear();
-      for (const Running& r : running) fds.push_back({r.exitFd, POLLIN, 0});
+      polled.clear();
+      for (Lane& lane : lanes) {
+        if (lane.pid < 0) continue;
+        fds.push_back({lane.fd, POLLIN, 0});
+        polled.push_back(&lane);
+      }
+      if (fds.empty()) break;
       if (::poll(fds.data(), fds.size(), -1) < 0) {
         if (errno == EINTR) continue;
         return fail(std::string("campaign poll: ") + std::strerror(errno));
       }
-      std::size_t k = 0;
-      while (k < fds.size() && fds[k].revents == 0) ++k;
-      if (k == fds.size()) continue;
-      const Running exited = running[k];
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(k));
-      ::close(exited.exitFd);
-      int status = 0;
-      while (::waitpid(exited.pid, &status, 0) < 0)
-        if (errno != EINTR)
+      for (std::size_t k = 0; k < fds.size(); ++k) {
+        if (fds[k].revents == 0) continue;
+        Lane& lane = *polled[k];
+        const std::size_t index = lane.shards[lane.ordered - 1];
+        const std::string rpath =
+            shardResultPath(options.dir, manifest.shards[index].range);
+        std::uint64_t reported = 0;
+        if (receiveIndex(lane.fd, &reported) == 1 && reported == index) {
+          // The shard is durable.  Order the next one before recording
+          // this one, so the worker never waits on the manifest save.
+          lane.busy = false;
+          if (!result.error.empty() || lane.ordered == lane.shards.size())
+            ::shutdown(lane.fd, SHUT_WR);
+          else if (!order(lane))
+            return fail(error);
+          std::optional<ShardResult> shard = shardResultFromFile(rpath, &error);
+          if (!shard) {
+            if (result.error.empty())
+              stopAll("shard " + std::to_string(index) + ": " + error);
+          } else if (!recordDone(index, std::move(*shard))) {
+            return fail(error);
+          } else {
+            std::remove(rpath.c_str());
+          }
+          continue;
+        }
+        // The worker is gone (or broke the protocol, and exits on the end
+        // of file the close gives it).
+        ::close(lane.fd);
+        lane.fd = -1;
+        int status = 0;
+        while (::waitpid(lane.pid, &status, 0) < 0) {
+          if (errno == EINTR) continue;
+          lane.pid = -1;
           return fail(std::string("campaign waitpid: ") +
                       std::strerror(errno));
-      const std::size_t index = exited.index;
-
-      const std::string rpath =
-          shardResultPath(options.dir, manifest.shards[index].range);
-      if (WIFSIGNALED(status)) {
-        // Killed (the chaos hook's SIGKILL, the OOM killer): the slice goes
-        // back in the queue.  The shard is still marked pending in the
-        // manifest, so even an orchestrator kill here loses nothing.
-        ++result.workerDeaths;
-        std::remove(rpath.c_str());
-        queue.push_back(index);
-        continue;
-      }
-      std::optional<ShardResult> shard;
-      if (WEXITSTATUS(status) != 0)
-        error = "worker exited with status " +
-                std::to_string(WEXITSTATUS(status));
-      else
-        shard = shardResultFromFile(rpath, &error);
-      if (shard) {
-        if (!recordDone(index, std::move(*shard))) return fail(error);
-        std::remove(rpath.c_str());
-      } else if (result.error.empty()) {
-        result.error = "shard " + std::to_string(index) + ": " + error;
+        }
+        lane.pid = -1;
+        if (WIFSIGNALED(status)) {
+          // Killed (the chaos hook's SIGKILL, the OOM killer): the shard is
+          // still pending in the ledger, so even an orchestrator kill here
+          // loses nothing.  A new worker, holding only the orbits loaded at
+          // open, takes over the rest of the lane from the killed shard.
+          ++result.workerDeaths;
+          if (!lane.busy) continue;
+          std::remove(rpath.c_str());
+          if (!result.error.empty()) continue;
+          --lane.ordered;
+          if (!spawn(lane) || !order(lane)) return fail(error);
+        } else if ((WEXITSTATUS(status) != 0 || lane.busy) &&
+                   result.error.empty()) {
+          stopAll("shard " + std::to_string(index) +
+                  ": worker exited with status " +
+                  std::to_string(WEXITSTATUS(status)));
+        }
       }
     }
     if (!result.error.empty()) return result;

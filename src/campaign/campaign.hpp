@@ -7,31 +7,38 @@
 //   * the script stream is cut into ShardRange slices (the manifest's shard
 //     plan); each shard sweep keeps GLOBAL script indices, so shard reports
 //     merge bit-identically into the whole-stream McReport;
-//   * runShard() executes one slice against the shared MemoStore, in this
-//     process or in a forked worker — the ShardJob is the same either way;
+//   * runShard() executes one slice against the campaign's MemoStore, in
+//     this process or in a forked worker — the ShardJob is the same either
+//     way;
 //   * the request (CampaignSpec, campaign/manifest.hpp) is validated —
 //     registered algorithm, sane (n, t) and grain, a sweep that passes
 //     preflightSweep — before the manifest is written and before any fork;
-//   * the orchestrator forks up to `workers` shard processes, reaps them,
-//     records each finished shard (report + manifest save, tmp + rename)
-//     and reassigns the slices of workers killed by a signal.  Killing ANY
-//     process — SIGKILL included — costs at most the in-flight shards:
-//     `resume` (the same runCampaign call) reruns only shards not recorded
-//     done.  A worker that EXITS non-zero reported a failure (a tripwire, an
-//     unpublishable result) that a rerun would repeat: the orchestrator
-//     stops dispatching, records what the running workers finish, and
-//     returns the failure;
-//   * shards are dispatched largest-remaining-first from one shared queue,
-//     so a straggling worker simply stops picking up new slices while the
-//     others drain the plan — work stealing by grain, not by preemption;
+//   * the orchestrator deals the pending shards, in plan order, round-robin
+//     into W = min(workers, pending) static lanes and forks one long-lived
+//     worker per lane.  The worker keeps the memo it inherited — the orbits
+//     loaded at open — and adds every orbit it executes, so a worker never
+//     executes an orbit twice; what a lane appends depends only on the plan
+//     and W.  A straggling lane is not rebalanced;
+//   * the orchestrator orders each shard over the lane's socket and records
+//     it (report + manifest save, tmp + rename) once the worker reports it
+//     durable.  A worker killed by a signal is replaced by a new one, which
+//     holds only the orbits loaded at open and takes over the rest of the
+//     lane from the killed shard.  Killing ANY process — SIGKILL included —
+//     costs at most the in-flight shards: `resume` (the same runCampaign
+//     call) reruns only shards not recorded done.  A worker that EXITS
+//     non-zero reported a failure (a tripwire, an unpublishable result)
+//     that a rerun would repeat: the orchestrator orders nothing more,
+//     records what the other lanes finish, reaps every worker and returns
+//     the failure;
 //   * queryCampaign() answers Lat(A, f) / verdict lookups from the merged
 //     manifest reports without executing anything, with admission control:
 //     an incomplete campaign or an f outside the swept crash budget is
 //     rejected with a reason pointing at the manifest entry to fix.
 //
 // Layout of a campaign directory: manifest.json (ledger, orchestrator-only
-// writer), memo.log (MemoStore, all workers append), shard-<first>.json
-// (transient worker -> orchestrator handoff, deleted once recorded).
+// writer), memo.log (MemoStore; each lane's worker appends the orbits it
+// executes, one sealed segment per shard), shard-<first>.json (transient
+// worker -> orchestrator handoff, deleted once recorded).
 #pragma once
 
 #include <cstdint>
@@ -49,12 +56,15 @@ namespace ssvsp {
 struct CampaignOptions {
   /// Campaign directory (created if absent): manifest.json + memo.log.
   std::string dir;
-  /// Forked shard worker processes; 0 = run shards in THIS process (no
-  /// fork — the mode tests and single-machine debugging use).
+  /// Lanes, each run by one long-lived forked worker that keeps its memo
+  /// across the lane's shards (min(workers, pending shards) of them);
+  /// 0 = run shards in THIS process (no fork — the mode tests and
+  /// single-machine debugging use).
   int workers = 2;
-  /// Test hook: the worker dispatched the shard-plan index kills itself
-  /// (SIGKILL) mid-shard, once; -1 = off.  The orchestrator survives,
-  /// reassigns the slice, and the campaign completes.
+  /// Test hook: the worker ordered this shard-plan index kills itself
+  /// (SIGKILL) mid-shard, once; -1 = off.  The orchestrator survives, a
+  /// replacement worker reruns the shard and the rest of its lane, and the
+  /// campaign completes.
   int chaosKillShard = -1;
 };
 
@@ -69,9 +79,9 @@ struct ShardJob {
 struct ShardResult {
   McReport report;
   SweepRunStats stats;
-  /// Memo records the executing worker appended while running this shard
-  /// (0 when run without a MemoStore).  Summed into
-  /// CampaignResult::memoEntriesAppended.
+  /// Memo records the executing worker appended while running this shard:
+  /// the orbits its memo had not yet met (0 when run without a MemoStore).
+  /// Summed into CampaignResult::memoEntriesAppended.
   std::int64_t memoAppended = 0;
 };
 
@@ -90,8 +100,8 @@ struct CampaignResult {
   int shardsTotal = 0;
   int shardsSkipped = 0;  ///< already done in the manifest (resume path)
   int shardsRun = 0;      ///< executed by this invocation
-  int workersForked = 0;
-  int workerDeaths = 0;  ///< workers killed by a signal, slices requeued
+  int workersForked = 0;  ///< one per lane, plus one per replacement
+  int workerDeaths = 0;   ///< workers killed by a signal, then replaced
   std::int64_t memoEntriesLoaded = 0;    ///< replayed from memo.log
   std::int64_t memoEntriesAppended = 0;  ///< new orbits this invocation
   std::int64_t memoBytesRepaired = 0;    ///< torn tail truncated on open

@@ -1,6 +1,7 @@
 // Persistent, symmetry-canonical run-memo store — the disk half of the
-// campaign layer (see campaign.hpp for the orchestrator that shares one
-// store across forked shard workers).
+// campaign layer (see campaign.hpp for the orchestrator that opens one
+// store and forks a long-lived worker per lane, each appending through its
+// inherited handle).
 //
 // The store is an append-only log of (PairCanonicalizer key -> RunSummary)
 // records.  It subclasses RunMemo, so any sweep accepts it through
@@ -13,11 +14,12 @@
 // Durability model:
 //   * Records are framed (length prefix + FNV-1a checksum) and staged in
 //     memory; flush() appends the whole batch with ONE write() on an
-//     O_APPEND descriptor, so concurrent writers (forked shard workers)
+//     O_APPEND descriptor, so concurrent writers (the lanes' workers)
 //     interleave at batch granularity, never mid-record.
 //   * appendFooter() writes an fsync'd segment footer carrying the writer
-//     id and its cumulative record count — a worker's "this batch is
-//     durable" marker, written after each completed shard.
+//     id and the count of records since its previous footer — a worker's
+//     "this shard's batch is durable" marker, written after each completed
+//     shard, so a lane's worker leaves one segment per shard.
 //   * open() replays the log via a read-only mmap and REPAIRS a torn tail:
 //     the first incomplete or checksum-failing record and everything after
 //     it is ftruncate'd away.  A worker killed mid-write therefore costs
@@ -111,8 +113,8 @@ struct CompactStats {
 /// Rewrites the memo log at `path` into a single deduplicated v2 segment:
 /// one header, every distinct (key, summary) once (sorted by key, so the
 /// output is byte-deterministic), one fsync'd footer.  Duplicate keys —
-/// the same orbit discovered by several shards or writers — collapse to
-/// one record.  The rewrite goes through
+/// the same orbit met by several lanes, or by a killed worker and its
+/// replacement — collapse to one record.  The rewrite goes through
 /// a temp file + fsync + rename, so a crash mid-compaction leaves the old
 /// log untouched.
 ///

@@ -107,9 +107,8 @@ struct ShardRange {
 
 /// Evenly-grained shard plan over a stream of `totalScripts` scripts:
 /// ceil(total / shardScripts) ranges of at most `shardScripts` each, in
-/// stream order.  The campaign orchestrator assigns these to worker
-/// processes dynamically, so a fine grain doubles as work stealing —
-/// stragglers simply stop picking up new ranges.
+/// stream order.  The campaign orchestrator deals these round-robin into
+/// static lanes, each run in order by one long-lived worker process.
 std::vector<ShardRange> planShardRanges(std::int64_t totalScripts,
                                         std::int64_t shardScripts);
 

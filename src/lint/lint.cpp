@@ -161,14 +161,13 @@ ScenarioLintResult lintScenarioText(const std::string& text,
   out.scenario = parsed.scenario;
 
   // Forward the parse diagnostics, but replace the coarse script-invalid
-  // wrapper with the per-condition codes of lintFailureScript.
+  // wrapper with the per-condition codes the parse kept.
   for (const Diagnostic& d : parsed.diagnostics)
     if (d.code != kDiagScriptInvalid) sink.add(d);
+  for (const Diagnostic& d : parsed.scriptDiagnostics) sink.add(d);
 
   if (!parsed.structureOk) return out;
   const Scenario& sc = out.scenario;
-  const Round horizon = sc.horizon > 0 ? sc.horizon : sc.cfg.t + 2;
-  lintFailureScript(sc.script, sc.cfg, sc.model, horizon, sink);
 
   if (const AlgorithmEntry* entry = findAlgorithm(sc.algorithm)) {
     if (entry->intendedModel != sc.model) {
@@ -190,9 +189,7 @@ ScenarioLintResult lintScenarioText(const std::string& text,
 
 void lintScenarioForReplay(const Scenario& scenario, Round maxRounds,
                            DiagnosticSink& sink) {
-  const Round scenarioHorizon =
-      scenario.horizon > 0 ? scenario.horizon : scenario.cfg.t + 2;
-  const Round horizon = maxRounds > 0 ? maxRounds : scenarioHorizon;
+  const Round horizon = maxRounds > 0 ? maxRounds : scenario.runHorizon();
   for (const CrashEvent& crash : scenario.script.crashes) {
     if (crash.round == kNoRound || crash.round <= horizon) continue;
     sink.report(kDiagCrashBeyondReplayHorizon, Severity::kError,

@@ -1,5 +1,6 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -294,14 +295,20 @@ ScenarioParseResult parseScenario(const std::string& text) {
     p.failAt(kDiagUnknownAlgorithm, "unknown algorithm '" + sc.algorithm + "'",
              algorithmLoc);
   }
-  if (p.diagnostics.empty()) {
-    const auto validity = validateScript(sc.script, sc.cfg, sc.model);
-    if (!validity.ok) {
+  if (result.structureOk) {
+    // The script rules run once: lint forwards all they find, and their
+    // first error fails the parse unless something else already did.
+    DiagnosticSink rules;
+    lintFailureScript(sc.script, sc.cfg, sc.model, sc.runHorizon(), rules);
+    result.scriptDiagnostics = rules.diagnostics();
+    const auto firstError = std::find_if(
+        result.scriptDiagnostics.begin(), result.scriptDiagnostics.end(),
+        [](const Diagnostic& d) { return d.severity == Severity::kError; });
+    if (p.diagnostics.empty() && firstError != result.scriptDiagnostics.end())
       p.failAt(kDiagScriptInvalid,
                "illegal script for " + ssvsp::toString(sc.model) + ": " +
-                   validity.reason,
+                   firstError->message,
                {});
-    }
   }
 
   result.ok = p.diagnostics.empty();
@@ -359,7 +366,7 @@ std::string serializeScenario(const Scenario& sc) {
 
 RoundRunResult runScenario(const Scenario& scenario, bool traceDeliveries) {
   RoundEngineOptions opt;
-  opt.horizon = scenario.horizon > 0 ? scenario.horizon : scenario.cfg.t + 2;
+  opt.horizon = scenario.runHorizon();
   opt.traceDeliveries = traceDeliveries;
   return runRounds(scenario.cfg, scenario.model,
                    algorithmByName(scenario.algorithm).factory,

@@ -40,6 +40,9 @@ struct Scenario {
   std::vector<Value> values;
   int horizon = 0;  ///< 0 = derive t+2
   FailureScript script;
+
+  /// The rounds a run of this scenario simulates: `horizon`, or t+2.
+  Round runHorizon() const { return horizon > 0 ? horizon : cfg.t + 2; }
 };
 
 struct ScenarioParseResult {
@@ -49,9 +52,13 @@ struct ScenarioParseResult {
   /// stable codes of src/lint/codes.hpp.  Empty iff ok.
   std::vector<Diagnostic> diagnostics;
   /// The directives parsed into a structurally complete scenario; only the
-  /// semantic script/registry validation may have failed.  The lint pass
-  /// (lintScenarioText) re-checks such scenarios with per-condition codes.
+  /// semantic script/registry validation may have failed.
   bool structureOk = false;
+  /// When structureOk: every diagnostic of the script rules
+  /// (lintFailureScript, L1xx) against runHorizon(), which lintScenarioText
+  /// forwards.  `diagnostics` wraps their first error as L310 when nothing
+  /// else failed.
+  std::vector<Diagnostic> scriptDiagnostics;
   Scenario scenario;
 };
 

@@ -1,16 +1,19 @@
 // Campaign-layer tests (src/campaign): the persistent memo store's
 // durability contract (round trip, torn-tail repair on open, refusal of
-// mid-log damage), the manifest ledger's serde and resume semantics, and
-// the headline guarantee — a 2-process campaign that loses a worker to
-// SIGKILL mid-shard still produces a merged report bit-identical to the
-// single-process in-memory sweep.
+// mid-log damage), the manifest ledger's serde and resume semantics, the
+// lanes of long-lived workers (what each appends, a kill or a failure in
+// one), and the headline guarantee — a 2-process campaign that loses a
+// worker to SIGKILL mid-shard still produces a merged report bit-identical
+// to the single-process in-memory sweep.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -33,12 +36,8 @@ class CampaignTest : public ::testing::Test {
     dir_ = tmpl;
   }
   void TearDown() override {
-    // Best-effort scrub; files first, then the directory.
-    for (const char* name : {"/manifest.json", "/manifest.json.tmp",
-                             "/memo.log", "/memo.log.compact.tmp"}) {
-      std::remove((dir_ + name).c_str());
-    }
-    ::rmdir(dir_.c_str());
+    std::error_code ec;  // best-effort scrub
+    std::filesystem::remove_all(dir_, ec);
   }
 
   std::string storePath() const { return dir_ + "/memo.log"; }
@@ -755,6 +754,121 @@ TEST_F(CampaignTest, FailingWorkerEndsTheCampaign) {
   const CampaignResult rerun = runCampaign(spec, options);
   ASSERT_TRUE(rerun.ok) << rerun.error;
   EXPECT_EQ(rerun.shardsRun, manifest->pendingCount());
+}
+
+/// The whole stream of the campaign in `dir`, swept in memory in one
+/// process: the oracle every campaign report must equal bit for bit.
+std::string inMemoryReportJson(const std::string& dir) {
+  std::string error;
+  const auto manifest = campaignStatus(dir, &error);
+  if (!manifest) return "no manifest: " + error;
+  McCheckOptions whole = manifest->shardOptions(0);
+  whole.shard = ShardRange{};
+  return modelCheckConsensus(algorithmByName(manifest->algorithm).factory,
+                             RoundConfig{manifest->n, manifest->t},
+                             manifest->model, whole)
+      .toJsonString();
+}
+
+/// What lane `lane` of `lanes` appends to a cold store: the distinct orbits
+/// of the shards lane, lane + lanes, ... met in order by one memo.
+std::int64_t laneOrbits(const CampaignManifest& manifest, std::size_t lane,
+                        std::size_t lanes) {
+  RunMemo memo;
+  for (std::size_t i = lane; i < manifest.shards.size(); i += lanes)
+    runShard(ShardJob{manifest, i}, &memo);
+  return memo.size();
+}
+
+/// Static lanes: a cold 2-worker campaign appends exactly what its two
+/// lanes meet, so two runs append the same count; one worker appends each
+/// orbit once.
+TEST_F(CampaignTest, TwoLaneColdCampaignsAppendTheSameRecords) {
+  CampaignSpec spec;
+  spec.algorithm = "FloodSetWS";
+  spec.n = 4;
+  spec.t = 2;
+  spec.maxScripts = 4000;
+  spec.shardScripts = 400;
+  CampaignOptions options;
+  options.workers = 2;
+  options.dir = dir_ + "/first";
+  const CampaignResult first = runCampaign(spec, options);
+  ASSERT_TRUE(first.ok) << first.error;
+  options.dir = dir_ + "/second";
+  const CampaignResult second = runCampaign(spec, options);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(first.workersForked, 2);
+  EXPECT_EQ(second.memoEntriesAppended, first.memoEntriesAppended);
+
+  std::string error;
+  const auto manifest = campaignStatus(options.dir, &error);
+  ASSERT_TRUE(manifest.has_value()) << error;
+  ASSERT_GE(manifest->shards.size(), 4u);
+  EXPECT_EQ(first.memoEntriesAppended,
+            laneOrbits(*manifest, 0, 2) + laneOrbits(*manifest, 1, 2));
+
+  options.workers = 1;
+  options.dir = dir_ + "/one";
+  const CampaignResult one = runCampaign(spec, options);
+  ASSERT_TRUE(one.ok) << one.error;
+  const auto store = MemoStore::open(options.dir + "/memo.log", &error);
+  ASSERT_NE(store, nullptr) << error;
+  EXPECT_EQ(one.memoEntriesAppended, store->size());
+  EXPECT_LT(one.memoEntriesAppended, first.memoEntriesAppended);
+  EXPECT_EQ(one.report.toJsonString(), first.report.toJsonString());
+}
+
+/// A worker killed in its lane's second shard: the finished first shard
+/// stays recorded, and one replacement runs the rest of the lane from the
+/// killed shard on.
+TEST_F(CampaignTest, KilledWorkerMidLaneKeepsItsFinishedShards) {
+  CampaignSpec spec;
+  spec.algorithm = "FloodSetWS";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 100;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 2;
+  options.chaosKillShard = 3;  // lane 1 runs shards 1, 3, 5, ...
+  const CampaignResult result = runCampaign(spec, options);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_GE(result.shardsTotal, 6);
+  EXPECT_EQ(result.workerDeaths, 1);
+  EXPECT_EQ(result.workersForked, 3);
+  EXPECT_EQ(result.shardsRun, result.shardsTotal);
+  EXPECT_EQ(result.report.toJsonString(), inMemoryReportJson(dir_));
+}
+
+/// One lane's failure ends the other lane after its current shard: the
+/// other lane still has dozens of shards to go, so the campaign returns the
+/// failure only if that worker reads end of file; every worker is reaped,
+/// and a rerun completes.
+TEST_F(CampaignTest, FailingLaneStopsTheOtherLane) {
+  const std::string blocked = dir_ + "/shard-0.json";
+  ASSERT_EQ(::mkdir(blocked.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((blocked + "/x").c_str(), 0755), 0);
+  CampaignSpec spec;
+  spec.algorithm = "FloodSetWS";
+  spec.n = 3;
+  spec.t = 1;
+  spec.shardScripts = 10;
+  CampaignOptions options;
+  options.dir = dir_;
+  options.workers = 2;
+  const CampaignResult result = runCampaign(spec, options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "shard 0: worker exited with status 4");
+  EXPECT_EQ(result.workerDeaths, 0);
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+
+  ::rmdir((blocked + "/x").c_str());
+  ::rmdir(blocked.c_str());
+  const CampaignResult rerun = runCampaign(spec, options);
+  ASSERT_TRUE(rerun.ok) << rerun.error;
+  EXPECT_EQ(rerun.report.toJsonString(), inMemoryReportJson(dir_));
 }
 
 TEST_F(CampaignTest, RunShardMergeShardsContract) {
